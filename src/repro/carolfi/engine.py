@@ -14,19 +14,23 @@ matter which worker executes it, in what order, or how the campaign is
 sharded.  ``run_campaign(config, workers=4)`` therefore equals
 ``run_campaign(config, workers=1)`` record for record.
 
-Resumability: with a ``checkpoint_dir``, each shard appends its records
-to its own JSONL file (header → records → ``done`` footer).  On
+Resumability: with a ``checkpoint_dir``, each completed shard's records
+are written to its own JSONL file (header → records → ``done`` footer).  On
 restart the engine replays every *complete* shard file from disk and
 re-runs only the rest.  A checkpoint is trusted only if its stored
 config fingerprint matches the requested campaign; a mismatch raises
 :class:`CheckpointError` rather than silently mixing campaigns.
 
-Fault domains: every in-flight shard is one disposable OS process the
-engine supervises directly — it can observe its exit code, reap it when
-its heartbeat stalls, and re-dispatch the shard without touching any
-other worker.  Shard failures are retried with deterministic
-exponential backoff plus jitter; a run that repeatedly kills its worker
-is **quarantined** (recorded as a DUE with a ``sandbox:`` detail and
+Fault domains: every campaign — serial, pooled or distributed — runs
+through one scheduler (:func:`repro.service.scheduler.run_shards`) and
+one lease executor (:func:`_execute_shard`).  Serial campaigns advance
+the executor in the calling process; pooled ones give every in-flight
+shard a disposable OS process the scheduler supervises directly — it
+can observe its exit code, reap it when its heartbeat stalls, and
+re-dispatch the shard without touching any other worker.  Shard
+failures are retried with deterministic exponential backoff plus
+jitter; a run that fails :attr:`RetryPolicy.max_run_deaths` times is
+**quarantined** (recorded as a DUE with a ``sandbox:`` detail and
 skipped on the next attempt), so a campaign degrades gracefully instead
 of aborting.  Only a shard that keeps failing *without making progress*
 raises :class:`ShardFailure`.  Every retry, reap, worker death,
@@ -48,8 +52,8 @@ import json
 import math
 import os
 import time
-from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from collections.abc import Callable, Generator, Iterable
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -61,6 +65,7 @@ from repro.carolfi.isolation import (
     IsolationConfig,
     IsolationMode,
     SandboxError,
+    ShardRunError,
     campaign_store_key,
     make_due_record,
     supervisor_for,
@@ -71,7 +76,6 @@ from repro.telemetry import (
     DISABLED,
     Telemetry,
     current_registry,
-    current_tracer,
     stamp,
 )
 from repro.telemetry.convergence import ConvergenceMonitor
@@ -79,7 +83,7 @@ from repro.util.jsonlog import JsonlLog, load_records, load_records_tolerant
 from repro.util.rng import derive_rng
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.service.backend import ShardBackend
+    from repro.service.backend import ShardBackend, ShardLease
     from repro.service.scheduler import StealPolicy
 
 __all__ = [
@@ -129,22 +133,6 @@ class ShardFailure(RuntimeError):
         self.attempts = attempts
 
 
-class ShardRunError(RuntimeError):
-    """One specific run raised an exception that escaped the crash net.
-
-    Carries the run index so the retry logic can attribute the failure
-    and quarantine the run instead of abandoning the whole shard.
-    """
-
-    def __init__(self, shard_index: int, run_index: int, cause: BaseException):
-        super().__init__(
-            f"run {run_index} (shard {shard_index}) raised "
-            f"{type(cause).__name__}: {cause}"
-        )
-        self.shard_index = shard_index
-        self.run_index = run_index
-
-
 @dataclass(frozen=True)
 class RetryPolicy:
     """Fault-domain policy: backoff, liveness, and quarantine limits."""
@@ -166,7 +154,9 @@ class RetryPolicy:
     and its shard re-dispatched, the hung run charged a death)."""
 
     max_run_deaths: int = 2
-    """Worker deaths attributed to one run before it is quarantined."""
+    """Failed executions of one run — escaped exceptions, worker deaths
+    and reaps alike — before it is quarantined.  The single threshold:
+    sandboxes and backends report failures, only the scheduler counts."""
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -357,7 +347,7 @@ class FailureSink:
             self._log.close()
 
 
-# -- shard execution (runs inside worker processes) ----------------------------
+# -- the lease executor ---------------------------------------------------------
 
 #: Per-process sandbox cache: a serial campaign reuses one sandbox
 #: across all its shards instead of respawning a worker per shard.
@@ -377,36 +367,62 @@ def _sandbox_for(
     return sandbox
 
 
+def close_sandboxes() -> None:
+    """Shut down every sandbox worker this process started."""
+    for sandbox in _SANDBOXES.values():
+        sandbox.close()
+    _SANDBOXES.clear()
+
+
+def run_failure(exc: BaseException) -> tuple[str, int | None]:
+    """``(detail, run)`` a lease reports for an exception out of :func:`_execute_shard`.
+
+    A :class:`ShardRunError` names its run and its failure; anything
+    else failed outside a run (a sandbox that would not start, a broken
+    config) and is attributed to none.
+    """
+    if isinstance(exc, ShardRunError):
+        return exc.detail, exc.run_index
+    return f"{type(exc).__name__}: {exc}", None
+
+
 def _execute_shard(
     config: CampaignConfig,
-    spec: ShardSpec,
-    checkpoint_file: str | None,
-    fingerprint: str,
-    isolation: IsolationConfig | None = None,
-    skip_runs: dict[int, tuple[str, str]] | None = None,
-    on_run: Callable[[int], None] | None = None,
-    on_run_done: Callable[[int], None] | None = None,
-    on_failure: Callable[[dict], None] | None = None,
+    lease: "ShardLease",
+    *,
     golden_cache: str | None = None,
-) -> tuple[int, list[dict]]:
-    """Run one shard, checkpointing each record; returns record dicts.
+    on_run: Callable[[int], None] | None = None,
+    on_event: Callable[[dict], None] | None = None,
+) -> Generator[tuple[int, dict], None, None]:
+    """Execute one lease's run range, yielding ``(run_index, record dict)``.
 
-    ``skip_runs`` maps quarantined run indices to their ``(due_kind,
-    detail)``: those runs are recorded as synthetic DUEs without being
-    executed.  ``on_run``/``on_run_done`` are the heartbeat hooks the
-    engine uses for liveness and death attribution.
+    The only lease executor: the in-process backend, local lease
+    workers and ``repro-worker`` agents all drive it, so record
+    production never depends on the execution path.  Records come in
+    run-index order, one per ``next()``; between records the caller
+    has control — to stream the record, answer control frames, or stop
+    early (a steal or cancel) by asking for no more.
 
-    Telemetry is ambient (:func:`repro.telemetry.current_registry` /
-    ``current_tracer``): the serial engine activates the campaign
-    bundle, shard workers activate their local accumulator, and this
-    function instruments identically either way — per-outcome run
-    counters, run-duration histogram, a shard span, and a
-    checkpoint-write span.  With telemetry disabled every instrument is
-    a shared no-op.
+    The lease's ``isolation`` selects where each injection runs.  With
+    ``config.batch_size > 1`` the vectorized groups are computed up
+    front, on the first ``next()``; fallback members run scalar in
+    order.  ``lease.skip`` maps quarantined run indices to their
+    ``(due_kind, detail)``: those runs become synthetic DUEs without
+    being executed.  A run that fails without a record raises
+    :class:`ShardRunError`; :class:`SandboxError` is an infrastructure
+    failure.  ``on_run`` is called before each scalar execution (the
+    liveness beat that attributes a worker death to its run) and
+    ``on_event`` receives operational events (sandbox spawns and
+    kills, snapshot-budget degradation).
+
+    Telemetry is ambient (:func:`repro.telemetry.current_registry`):
+    the serial engine activates the campaign bundle, shard workers
+    their local accumulator, and this function counts runs by outcome
+    and times scalar runs identically either way.  With telemetry
+    disabled every instrument is a shared no-op.
     """
-    iso = isolation or IsolationConfig()
+    iso = lease.isolation
     registry = current_registry()
-    tracer = current_tracer()
     runs_total = registry.counter(
         "repro_runs_total", help="Injection runs executed (including re-executions), by outcome."
     )
@@ -416,8 +432,13 @@ def _execute_shard(
     run_seconds = registry.histogram(
         "repro_run_duration_seconds", help="Wall-clock duration of one injection run."
     )
+    skip = lease.skip
+    todo = [
+        (run_index, model_for(config, run_index))
+        for run_index in range(lease.start, lease.stop)
+        if run_index not in skip
+    ]
     run_fn: Callable[[int, Any], InjectionRecord]
-    skip = skip_runs or {}
     batched: dict[int, InjectionRecord] = {}
     if iso.mode is IsolationMode.SUBPROCESS:
         if config.shared_store:
@@ -429,101 +450,51 @@ def _execute_shard(
             # run_sharded_campaign's finally) or a lease worker that
             # inherited/attached the backend's warm-up segment.
             try:
-                supervisor_for(config, golden_cache=golden_cache, on_event=on_failure)
+                supervisor_for(config, golden_cache=golden_cache, on_event=on_event)
             except Exception:  # noqa: BLE001 — sandbox reports the real failure
                 pass
         sandbox = _sandbox_for(config, iso, golden_cache)
-        sandbox.on_event = on_failure
+        sandbox.on_event = on_event
         run_fn = sandbox.run_one
         total_steps, num_windows = sandbox.total_steps, sandbox.num_windows
         if config.batch_size > 1:
-            # Vectorized fast path inside the sandbox: the whole group
-            # runs through BatchRunner in one forked worker, and only
-            # vectorized-path records come back.  Fallback members (and
-            # any batch-wide abort) flow through the unchanged scalar
-            # sandbox machinery below — per-run death attribution,
-            # retry and quarantine intact.
-            todo = [
-                (run_index, model_for(config, run_index))
-                for run_index in spec.run_indices()
-                if run_index not in skip
-            ]
+            # The whole group runs through BatchRunner in one forked
+            # worker and only vectorized-path records come back.
             batched = sandbox.run_batch(todo, config.batch_size)
     else:
-        supervisor = supervisor_for(config, golden_cache=golden_cache, on_event=on_failure)
+        supervisor = supervisor_for(config, golden_cache=golden_cache, on_event=on_event)
         run_fn = supervisor.run_one
         total_steps = supervisor.total_steps
         num_windows = supervisor.benchmark.num_windows
         if config.batch_size > 1:
-            # Vectorized fast path.  Runs the batch path completes are
-            # looked up below; everything else — fallbacks, skips —
-            # flows through the unchanged scalar machinery, including
-            # its error attribution.
-            todo = [
-                (run_index, model_for(config, run_index))
-                for run_index in spec.run_indices()
-                if run_index not in skip
-            ]
             batched = BatchRunner(supervisor, config.batch_size).run_many(todo)
-    log: JsonlLog | None = None
-    if checkpoint_file is not None:
-        path = Path(checkpoint_file)
-        path.unlink(missing_ok=True)  # drop any partial previous attempt
-        log = JsonlLog(path)
-        log.append(
-            {
-                "kind": "header",
-                "version": CHECKPOINT_VERSION,
-                "config_hash": fingerprint,
-                "shard": spec.index,
-                "start": spec.start,
-                "stop": spec.stop,
-            }
-        )
-    rows: list[dict] = []
-    with tracer.span("shard", shard=spec.index, start=spec.start, stop=spec.stop):
-        for run_index in spec.run_indices():
-            model = model_for(config, run_index)
-            if run_index in skip:
-                kind, detail = skip[run_index]
-                record = make_due_record(
-                    config,
-                    run_index,
-                    model,
-                    total_steps,
-                    num_windows,
-                    DueKind(kind),
-                    detail,
-                )
-            elif run_index in batched:
-                record = batched[run_index]
-                if on_run_done is not None:
-                    on_run_done(run_index)
-            else:
-                if on_run is not None:
-                    on_run(run_index)
-                began = time.perf_counter()
-                try:
-                    record = run_fn(run_index, model)
-                except SandboxError:
-                    raise  # worker infrastructure failure: shard-level, not run-level
-                except Exception as exc:
-                    raise ShardRunError(spec.index, run_index, exc) from exc
-                if registry.enabled:
-                    run_seconds.observe(time.perf_counter() - began)
-                if on_run_done is not None:
-                    on_run_done(run_index)
-            runs_total.inc(outcome=record.outcome.value)
-            if record.due_kind is not None:
-                dues_total.inc(kind=record.due_kind.value)
-            rows.append(record.to_dict())
-            if log is not None:
-                log.append({"kind": "record", "data": rows[-1]})
-        if log is not None:
-            with tracer.span("checkpoint_write", shard=spec.index, records=len(rows)):
-                log.append({"kind": "done", "count": len(rows)})
-                log.close()
-    return spec.index, rows
+    for run_index in range(lease.start, lease.stop):
+        model = model_for(config, run_index)
+        if run_index in skip:
+            kind, detail = skip[run_index]
+            record = make_due_record(
+                config, run_index, model, total_steps, num_windows, DueKind(kind), detail
+            )
+        elif run_index in batched:
+            record = batched[run_index]
+        else:
+            # Fallbacks and unbatched runs: the scalar path, with its
+            # per-run failure attribution.
+            if on_run is not None:
+                on_run(run_index)
+            began = time.perf_counter()
+            try:
+                record = run_fn(run_index, model)
+            except (SandboxError, ShardRunError):
+                raise
+            except Exception as exc:
+                raise ShardRunError(run_index, f"{type(exc).__name__}: {exc}") from exc
+            if registry.enabled:
+                run_seconds.observe(time.perf_counter() - began)
+        runs_total.inc(outcome=record.outcome.value)
+        if record.due_kind is not None:
+            dues_total.inc(kind=record.due_kind.value)
+        yield run_index, record.to_dict()
 
 
 # -- checkpoint replay --------------------------------------------------------
@@ -727,17 +698,21 @@ def run_sharded_campaign(
 ) -> CampaignResult:
     """Run a campaign sharded, optionally in parallel and resumable.
 
-    ``workers=1`` executes the shards serially in the calling process;
-    any other count fans shards out over dedicated worker processes
-    (one disposable process per in-flight shard).  ``workers=None``
-    resolves via ``REPRO_WORKERS`` then ``os.cpu_count()``.
+    Every campaign runs through one scheduler
+    (:func:`repro.service.scheduler.run_shards`).  ``workers=1``
+    executes the shards serially in the calling process
+    (:class:`~repro.service.local.InProcessBackend`); any other count
+    fans shards out over dedicated worker processes (one disposable
+    process per in-flight shard, :class:`~repro.service.local.
+    LocalBackend`).  ``workers=None`` resolves via ``REPRO_WORKERS``
+    then ``os.cpu_count()``.
 
     ``backend`` overrides *where* shards execute: any
     :class:`~repro.service.backend.ShardBackend` (e.g. the distributed
     :class:`~repro.service.broker.BrokerBackend`) is driven by the same
     scheduler with identical retry/quarantine/merge semantics; its
     lifetime belongs to the caller.  ``steal`` tunes work stealing on
-    backends that support it (ignored by the local pool).
+    backends that support it (ignored by the local backends).
 
     ``isolation`` selects where each *injection* executes (see
     :class:`~repro.carolfi.isolation.IsolationConfig`), ``retry``
@@ -749,16 +724,18 @@ def run_sharded_campaign(
 
     ``telemetry`` (a :class:`repro.telemetry.Telemetry`) adds metrics,
     phase spans and live progress on top of the heartbeat callback.
-    Workers accumulate metrics/spans locally and the engine merges
-    their deltas over the heartbeat pipe, so a campaign's counter
-    totals are identical for every worker count; the default
+    Serial campaigns count straight into it; workers accumulate
+    metrics/spans locally and the engine merges their deltas over the
+    heartbeat pipe, so a campaign's counter totals are identical for
+    every worker count; the default
     (:data:`repro.telemetry.DISABLED`) makes every instrument a shared
     no-op and never perturbs records.
 
     ``golden_cache`` names an on-disk golden-run cache directory
     (:mod:`repro.carolfi.goldencache`); with a ``checkpoint_dir`` it
     defaults to ``<checkpoint_dir>/golden-cache``, so resumed campaigns
-    and spawn-started workers skip the golden re-run.
+    and spawn-started workers skip the golden re-run.  The cache is
+    host-local: it is not forwarded to broker workers.
 
     Statistical observability: every merged shard streams through a
     :class:`~repro.telemetry.convergence.ConvergenceMonitor`.  With
@@ -850,41 +827,43 @@ def run_sharded_campaign(
                         return None
                     return str(shard_path(ckpt_dir, spec.index))
 
-                if workers == 1 and backend is None:
-                    _run_serial(
+                # Imported here, not at module top: repro.service
+                # imports this module.
+                from repro.service.local import InProcessBackend, LocalBackend
+                from repro.service.scheduler import run_shards
+
+                owned: ShardBackend | None = None
+                if backend is None:
+                    if workers == 1:
+                        owned = InProcessBackend(config, golden_cache=cache_dir)
+                    else:
+                        owned = LocalBackend(
+                            config,
+                            workers=workers,
+                            telemetry=tel,
+                            golden_cache=cache_dir,
+                            on_event=sink,
+                        )
+                try:
+                    run_shards(
                         config,
                         pending,
                         ckpt_file,
                         fingerprint,
                         heartbeat,
                         executed,
-                        iso,
+                        backend or owned,
                         policy,
                         sink,
                         tel,
                         reporter,
                         gate,
-                        cache_dir,
-                    )
-                else:
-                    _run_pool(
-                        config,
-                        pending,
-                        ckpt_file,
-                        fingerprint,
-                        heartbeat,
-                        executed,
-                        workers,
-                        iso,
-                        policy,
-                        sink,
-                        tel,
-                        reporter,
-                        gate,
-                        cache_dir,
-                        backend=backend,
                         steal=steal,
+                        isolation=iso,
                     )
+                finally:
+                    if owned is not None:
+                        owned.close()
 
             included = shards if gate.stop_after is None else shards[: gate.stop_after + 1]
             expected_runs = included[-1].stop
@@ -962,207 +941,3 @@ def run_sharded_campaign(
         with JsonlLog(log_path) as log:
             log.extend(r.to_dict() for r in records_out)
     return CampaignResult(config=config, records=records_out, stopped_early=gate.stopped)
-
-
-# -- serial fault domain -------------------------------------------------------
-
-
-def _run_serial(
-    config: CampaignConfig,
-    pending: Iterable[ShardSpec],
-    ckpt_file: Callable[[ShardSpec], str | None],
-    fingerprint: str,
-    heartbeat: _Heartbeat,
-    executed: dict[int, list[dict]],
-    isolation: IsolationConfig,
-    policy: RetryPolicy,
-    sink: FailureSink,
-    tel: Telemetry,
-    reporter: Any,
-    gate: _ConvergenceGate,
-    golden_cache: str | None = None,
-) -> None:
-    """Serial execution with backoff retries and poison-run quarantine.
-
-    In inproc mode an *uncatchable* condition (``os._exit``, a guard-free
-    spin) still takes the calling process down — subprocess isolation
-    exists for exactly that — but any exception-shaped failure is
-    retried, attributed, and quarantined just like in the pool.
-    """
-    shard_done = tel.registry.gauge("repro_shard_runs_done")
-    shard_seconds = tel.registry.histogram(
-        "repro_shard_duration_seconds", help="Wall-clock duration of one completed shard."
-    )
-    for spec in pending:
-        heartbeat.emit("started", spec)
-        deaths: dict[int, int] = {}
-        skip: dict[int, tuple[str, str]] = {}
-        attempts = 0
-        no_progress = 0
-        shard_started = time.perf_counter()
-
-        def shard_sink(event: dict[str, Any], _index: int = spec.index) -> None:
-            sink({"shard": _index, **event})
-
-        def run_done(run_index: int, _spec: ShardSpec = spec) -> None:
-            shard_done.set(run_index - _spec.start + 1, shard=_spec.index)
-            reporter.tick()
-
-        while True:
-            try:
-                _, rows = _execute_shard(
-                    config,
-                    spec,
-                    ckpt_file(spec),
-                    fingerprint,
-                    isolation=isolation,
-                    skip_runs=skip,
-                    on_run_done=run_done,
-                    on_failure=shard_sink,
-                    golden_cache=golden_cache,
-                )
-                break
-            except Exception as exc:  # noqa: BLE001 — classified below
-                attempts += 1
-                detail = f"{type(exc).__name__}: {exc}"
-                progressed = False
-                if isinstance(exc, ShardRunError):
-                    run = exc.run_index
-                    count = deaths[run] = deaths.get(run, 0) + 1
-                    sink(
-                        {
-                            "event": "run_error",
-                            "shard": spec.index,
-                            "run": run,
-                            "attempt": attempts,
-                            "deaths": count,
-                            "detail": detail,
-                        }
-                    )
-                    if count >= policy.max_run_deaths:
-                        skip[run] = (
-                            DueKind.CRASH.value,
-                            f"sandbox: quarantined after {count} failed "
-                            f"executions ({detail})",
-                        )
-                        sink(
-                            {
-                                "event": "quarantine",
-                                "shard": spec.index,
-                                "run": run,
-                                "detail": detail,
-                            }
-                        )
-                        heartbeat.emit("quarantined", spec, detail=f"run {run}: {detail}")
-                        progressed = True
-                if progressed:
-                    no_progress = 0
-                else:
-                    no_progress += 1
-                    if no_progress >= policy.max_attempts:
-                        sink(
-                            {
-                                "event": "shard_failed",
-                                "shard": spec.index,
-                                "attempt": attempts,
-                                "detail": detail,
-                            }
-                        )
-                        heartbeat.emit("failed", spec, detail=detail)
-                        raise ShardFailure(spec.index, attempts, detail) from exc
-                delay = backoff_delay(config.seed, spec.index, attempts, policy)
-                sink(
-                    {
-                        "event": "retry",
-                        "shard": spec.index,
-                        "attempt": attempts,
-                        "delay_s": round(delay, 3),
-                        "detail": detail,
-                    }
-                )
-                heartbeat.emit("retried", spec, detail=detail)
-                time.sleep(delay)
-        executed[spec.index] = rows
-        shard_done.set(spec.size, shard=spec.index)
-        if tel.registry.enabled:
-            shard_seconds.observe(time.perf_counter() - shard_started)
-        heartbeat.record_done(spec.size, live=True)
-        heartbeat.emit("finished", spec)
-        if gate.mark_complete(spec.index):
-            break
-
-
-# -- parallel fault domains ----------------------------------------------------
-
-
-def _run_pool(
-    config: CampaignConfig,
-    pending: list[ShardSpec],
-    ckpt_file: Callable[[ShardSpec], str | None],
-    fingerprint: str,
-    heartbeat: _Heartbeat,
-    executed: dict[int, list[dict]],
-    workers: int,
-    isolation: IsolationConfig,
-    policy: RetryPolicy,
-    sink: FailureSink,
-    tel: Telemetry,
-    reporter: Any,
-    gate: _ConvergenceGate,
-    golden_cache: str | None = None,
-    backend: Any = None,
-    steal: Any = None,
-) -> None:
-    """Fan shards out over a :class:`~repro.service.backend.ShardBackend`.
-
-    Without an explicit ``backend`` this builds the engine's classic
-    fault-domain pool (:class:`repro.service.local.LocalBackend`): one
-    dedicated, individually supervised process per in-flight shard, so
-    the engine observes worker exit codes directly, reaps stalled
-    workers, and one pathological run can never poison a neighbouring
-    shard's executor.  A provided backend (e.g. the distributed broker)
-    is driven by the same scheduler — retries, quarantine, liveness and
-    telemetry merging behave identically — but its lifetime belongs to
-    the caller.
-
-    Workers ship telemetry over the same channel as heartbeats: deltas
-    merge into the engine's registry as they arrive, so the live
-    progress line and the final export read one registry whether the
-    campaign ran serial, pooled or distributed.
-    """
-    # Imported here, not at module top: repro.service imports this
-    # module, and the engine only needs a backend once a parallel
-    # campaign actually starts.
-    from repro.service.local import LocalBackend
-    from repro.service.scheduler import run_shards
-
-    owned = None
-    if backend is None:
-        backend = owned = LocalBackend(
-            config,
-            fingerprint,
-            workers=workers,
-            isolation=isolation,
-            telemetry=tel,
-            golden_cache=golden_cache,
-            on_event=sink,
-        )
-    try:
-        run_shards(
-            config,
-            pending,
-            ckpt_file,
-            fingerprint,
-            heartbeat,
-            executed,
-            backend,
-            policy,
-            sink,
-            tel,
-            reporter,
-            gate,
-            steal=steal,
-        )
-    finally:
-        if owned is not None:
-            owned.close()

@@ -18,11 +18,12 @@ exit code 0 mid-run       protocol violation             DUE ``crash``
 ========================  =============================  ==============
 
 Deadline and RSS kills are the sandbox's *own* deterministic actions, so
-they are recorded immediately.  Self-inflicted worker deaths (signals,
-exit codes, escaped exceptions) are retried in a fresh worker to rule
-out infrastructure flakiness; a run that keeps killing its sandbox is
-**quarantined** — recorded as a DUE with a ``sandbox:`` detail and never
-retried again — so one poisonous injection cannot take down a campaign.
+they are recorded immediately.  Self-inflicted failures — an exception
+that escapes the Supervisor, a worker that dies by signal or exit code —
+are raised to the caller as a :class:`ShardRunError` naming the run.
+The sandbox never retries in place: the campaign scheduler owns retry
+and quarantine for every execution path, so a poison run's record does
+not depend on where it ran.
 
 The sandbox prefers the ``fork`` start method where available: a parent
 that has already warmed :func:`supervisor_for`'s cache hands each worker
@@ -65,6 +66,7 @@ __all__ = [
     "IsolationConfig",
     "IsolationMode",
     "SandboxError",
+    "ShardRunError",
     "describe_exitcode",
     "make_due_record",
     "mp_context",
@@ -92,6 +94,22 @@ class SandboxError(RuntimeError):
     """The sandbox worker could not be started (not a run outcome)."""
 
 
+class ShardRunError(RuntimeError):
+    """One run failed without producing a record.
+
+    Either an exception escaped the Supervisor's crash net or the
+    process executing the run died.  ``detail`` names the failure —
+    ``Type: message`` of the escaped exception, or
+    :func:`describe_exitcode` of the dead process — and is what a
+    quarantine record carries, whatever path executed the run.
+    """
+
+    def __init__(self, run_index: int, detail: str):
+        super().__init__(f"run {run_index} failed: {detail}")
+        self.run_index = run_index
+        self.detail = detail
+
+
 @dataclass(frozen=True)
 class IsolationConfig:
     """How injections are isolated from the campaign engine."""
@@ -109,9 +127,6 @@ class IsolationConfig:
     startup_timeout_s: float = 300.0
     """Deadline for a fresh worker to finish its golden run."""
 
-    max_run_deaths: int = 2
-    """Worker deaths attributed to one run before it is quarantined."""
-
     poll_interval_s: float = 0.01
     """Supervision tick: pipe poll / liveness / RSS check cadence."""
 
@@ -121,8 +136,6 @@ class IsolationConfig:
             raise ValueError("timeout_s must be positive")
         if self.mem_limit_mb is not None and self.mem_limit_mb <= 0:
             raise ValueError("mem_limit_mb must be positive")
-        if self.max_run_deaths < 1:
-            raise ValueError("max_run_deaths must be at least 1")
         if self.startup_timeout_s <= 0 or self.poll_interval_s <= 0:
             raise ValueError("timeouts must be positive")
 
@@ -132,7 +145,6 @@ class IsolationConfig:
             "timeout_s": self.timeout_s,
             "mem_limit_mb": self.mem_limit_mb,
             "startup_timeout_s": self.startup_timeout_s,
-            "max_run_deaths": self.max_run_deaths,
             "poll_interval_s": self.poll_interval_s,
         }
 
@@ -403,7 +415,11 @@ def _serve(supervisor: Supervisor, conn: "Connection") -> None:
             )
             continue
         _, run_index, model_value = msg
-        record = supervisor.run_one(run_index, FaultModel(model_value))
+        try:
+            record = supervisor.run_one(run_index, FaultModel(model_value))
+        except Exception as exc:  # noqa: BLE001 — the parent raises it as a run error
+            conn.send(("error", f"{type(exc).__name__}: {exc}"))
+            continue
         conn.send(("record", record.to_dict()))
 
 
@@ -416,9 +432,9 @@ class InjectionSandbox:
     Presents the same ``run_one(run_index, model) -> InjectionRecord``
     surface as :class:`Supervisor`, but every call is executed in the
     worker and supervised with a hard wall-clock deadline and an
-    optional RSS ceiling.  Failure events (spawns, deaths, kills,
-    quarantines) are delivered to ``on_event`` as dicts — the campaign
-    engine forwards them into its ``failures.jsonl``.
+    optional RSS ceiling.  Failure events (spawns, deaths, kills) are
+    delivered to ``on_event`` as dicts — the campaign engine forwards
+    them into its ``failures.jsonl``.
     """
 
     def __init__(
@@ -445,7 +461,6 @@ class InjectionSandbox:
         self._proc: BaseProcess | None = None
         self._conn: Connection | None = None
         self._meta: dict[str, Any] | None = None
-        self._deaths: dict[int, int] = {}
         self._mem_warned = False
 
     # -- metadata (cached from the most recent worker handshake) ---------------
@@ -592,10 +607,11 @@ class InjectionSandbox:
     def run_one(self, run_index: int, model: FaultModel) -> InjectionRecord:
         """Execute one injection in the sandbox and classify the result.
 
-        Always returns a record: completed runs return the worker's own
-        record; deadline and RSS kills return an immediate DUE; repeated
-        self-inflicted worker deaths return a quarantine DUE.  Only a
-        worker that cannot even *start* raises :class:`SandboxError`.
+        Completed runs return the worker's own record; deadline and RSS
+        kills return an immediate DUE.  An exception escaping the run or
+        a self-inflicted worker death raises :class:`ShardRunError` (the
+        next call respawns the worker), and a worker that cannot even
+        *start* raises :class:`SandboxError`.
         """
         model = FaultModel(model)
         while True:
@@ -603,30 +619,23 @@ class InjectionSandbox:
             assert self._conn is not None and self._proc is not None
             try:
                 self._conn.send(("run", run_index, model.value))
+                break
             except (OSError, ValueError):
                 # Died between runs: infrastructure, not this run's doing.
                 self._emit("sandbox_death", run_index=None, detail="died while idle")
                 self._teardown()
-                continue
-            verdict = self._await_verdict(run_index)
-            if verdict[0] == "record":
-                return InjectionRecord.from_dict(verdict[1])
-            _, kind, detail = verdict
-            if kind in (DueKind.HANG, DueKind.OOM):
-                # Our own deterministic kill — an observed hang/OOM is
-                # the run's outcome, exactly like a watchdog DUE.
-                return self._due(run_index, model, kind, f"sandbox: {detail}")
-            deaths = self._deaths[run_index] = self._deaths.get(run_index, 0) + 1
-            self._emit("sandbox_death", run_index, detail=detail, deaths=deaths)
-            if deaths >= self.isolation.max_run_deaths:
-                self._emit("sandbox_quarantine", run_index, detail=detail, deaths=deaths)
-                return self._due(
-                    run_index,
-                    model,
-                    kind,
-                    f"sandbox: quarantined after {deaths} worker deaths ({detail})",
-                )
-            # else: respawn and retry the same run to rule out flakiness.
+        verdict = self._await_verdict(run_index)
+        if verdict[0] == "record":
+            return InjectionRecord.from_dict(verdict[1])
+        if verdict[0] == "error":
+            raise ShardRunError(run_index, verdict[1])
+        _, kind, detail = verdict
+        if kind in (DueKind.HANG, DueKind.OOM):
+            # Our own deterministic kill — an observed hang/OOM is the
+            # run's outcome, exactly like a watchdog DUE.
+            return self._due(run_index, model, kind, f"sandbox: {detail}")
+        self._emit("sandbox_death", run_index, detail=detail)
+        raise ShardRunError(run_index, detail)
 
     # -- one supervised batch group --------------------------------------------
 
@@ -639,8 +648,8 @@ class InjectionSandbox:
         the returned mapping holds records only for runs the worker
         completed vectorized; a missing run means "finish it with the
         scalar :meth:`run_one`" — which preserves the scalar path's
-        per-run death attribution, retry and quarantine behaviour, and
-        therefore byte-identical records.  A worker death, RSS overrun
+        per-run failure attribution, and therefore byte-identical
+        records.  A worker death, RSS overrun
         or deadline *during* the batch aborts the whole group (returns
         ``{}``): nothing is ever classified from a batch-wide failure,
         every member simply retries scalar.
@@ -709,7 +718,8 @@ class InjectionSandbox:
                 return None
 
     def _await_verdict(self, run_index: int) -> tuple[str, Any] | tuple[str, DueKind, str]:
-        """Wait for a record, a deadline, an RSS overrun, or a death."""
+        """Wait for a record, an escaped exception, a deadline, an RSS
+        overrun, or a death."""
         assert self._conn is not None and self._proc is not None
         budget = self.hard_deadline_s
         deadline = time.monotonic() + budget
@@ -719,8 +729,8 @@ class InjectionSandbox:
             try:
                 if self._conn.poll(self.isolation.poll_interval_s):
                     msg = self._conn.recv()
-                    if msg[0] == "record":
-                        return ("record", msg[1])
+                    if msg[0] in ("record", "error"):
+                        return (msg[0], msg[1])
                     continue  # pragma: no cover — unexpected chatter
             except (EOFError, OSError):
                 pass  # fall through to the death check

@@ -5,6 +5,8 @@ processes, pipes or sockets directly: it leases contiguous run ranges
 to a :class:`ShardBackend` and reacts to the events the backend drains
 back.  Two implementations exist:
 
+* :class:`repro.service.local.InProcessBackend` — one lease at a time
+  in the calling process (serial campaigns);
 * :class:`repro.service.local.LocalBackend` — the engine's original
   fault-domain machinery: one disposable ``mp.Process`` per lease,
   heartbeats over a pipe;
@@ -16,7 +18,10 @@ A **lease** is one attempt to execute one contiguous run range of one
 shard.  A shard may be covered by several leases over its lifetime
 (retries after a worker death, a steal splitting a straggler's
 remaining range); the scheduler owns that bookkeeping, the backend only
-executes leases and reports what happened to them.
+executes leases and reports what happened to them.  Every backend
+executes a lease through the engine's one lease executor
+(:func:`repro.carolfi.engine._execute_shard`) and streams each record
+back as a ``rec`` event.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass, field
 from typing import Any
+
+from repro.carolfi.isolation import IsolationConfig
 
 __all__ = [
     "BackendEvent",
@@ -43,7 +50,8 @@ class ShardLease:
     at the split point.  ``skip`` maps quarantined run indices to their
     ``(due_kind, detail)`` — the executing worker records them as
     synthetic DUEs without running them, on whatever host the lease
-    lands.
+    lands.  ``isolation`` is where each of the lease's injections runs,
+    honoured by every backend.
     """
 
     lease_id: str
@@ -52,7 +60,7 @@ class ShardLease:
     stop: int
     attempt: int
     skip: dict[int, tuple[str, str]] = field(default_factory=dict)
-    checkpoint_file: str | None = None
+    isolation: IsolationConfig = field(default_factory=IsolationConfig)
 
     def __post_init__(self) -> None:
         if not 0 <= self.start < self.stop:
@@ -70,9 +78,7 @@ class BackendEvent:
     ``kind`` is one of:
 
     * ``"run"`` — the lease began executing run ``run`` (liveness beat);
-    * ``"ok"`` — run ``run`` completed (non-streaming backends);
-    * ``"rec"`` — run ``run`` completed and ``row`` is its record dict
-      (streaming backends);
+    * ``"rec"`` — run ``run`` completed and ``row`` is its record dict;
     * ``"metrics"`` / ``"spans"`` — a telemetry delta / span batch in
       ``payload``;
     * ``"failure"`` — a worker-side failure event dict in ``payload``;
@@ -91,16 +97,15 @@ class BackendEvent:
 class LeaseResult:
     """Terminal outcome of one lease attempt.
 
-    ``status`` is ``"done"`` (range fully executed; ``rows`` carries the
-    record dicts unless the backend streamed them), ``"error"`` (one
-    run raised an exception that escaped the crash net; ``error_run``
-    attributes it) or ``"dead"`` (the executor vanished — process exit,
-    connection loss — without reporting).
+    ``status`` is ``"done"`` (range fully executed, every record
+    streamed), ``"error"`` (a run failed without a record — an escaped
+    exception or a sandbox death; ``error_run`` attributes it) or
+    ``"dead"`` (the executor vanished — process exit, connection loss —
+    without reporting).
     """
 
     lease_id: str
     status: str
-    rows: list[dict[str, Any]] | None = None
     detail: str = ""
     error_run: int | None = None
     worker: str = ""
@@ -114,10 +119,11 @@ class ShardBackend(abc.ABC):
     #: re-scoped mid-flight leave this False.
     supports_steal: bool = False
 
-    #: Whether completed runs stream back one ``"rec"`` event at a time.
-    #: Streaming backends can resume a failed lease from its last
-    #: delivered record; non-streaming ones re-run the whole range.
-    streams_records: bool = False
+    #: Whether leases execute on this host under the campaign's own
+    #: supervision.  The scheduler logs lease lifecycle events and
+    #: registers its service series only for non-local backends, so a
+    #: local campaign's failure log and registry match a serial run's.
+    local: bool = False
 
     def attach_telemetry(self, telemetry: Any) -> None:
         """Optional hook: the scheduler hands over the campaign's

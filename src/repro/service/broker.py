@@ -54,6 +54,7 @@ import threading
 import time
 from typing import TYPE_CHECKING, Any
 
+from repro.carolfi.isolation import IsolationConfig
 from repro.service.backend import BackendEvent, LeaseResult, ShardBackend, ShardLease
 from repro.service.wire import FrameDecoder, encode_frame
 from repro.telemetry.exporters import prometheus_text
@@ -96,6 +97,7 @@ def lease_to_wire(lease: ShardLease) -> dict[str, Any]:
         "stop": lease.stop,
         "attempt": lease.attempt,
         "skip": {str(k): [kind, detail] for k, (kind, detail) in lease.skip.items()},
+        "isolation": lease.isolation.to_dict(),
     }
 
 
@@ -109,6 +111,7 @@ def lease_from_wire(data: dict[str, Any]) -> ShardLease:
         skip={
             int(k): (str(v[0]), str(v[1])) for k, v in dict(data.get("skip") or {}).items()
         },
+        isolation=IsolationConfig(**data["isolation"]),
     )
 
 
@@ -147,7 +150,6 @@ class BrokerBackend(ShardBackend):
     """Lease shards to remote ``repro-worker`` agents over TCP."""
 
     supports_steal = True
-    streams_records = True
 
     def __init__(
         self,
@@ -596,7 +598,7 @@ class BrokerBackend(ShardBackend):
                 LeaseResult(
                     lease_id,
                     "dead",
-                    detail=f"worker {name} lost ({detail})" if detail else f"worker {name} lost",
+                    detail=detail or "connection lost",
                     worker=name,
                 )
             )

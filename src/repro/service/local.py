@@ -1,14 +1,17 @@
-"""LocalBackend: the engine's mp.Process fault domains behind ShardBackend.
+"""Local backends: serial in-process execution and mp.Process fault domains.
 
-This is the machinery that used to live inline in
-``repro.carolfi.engine._run_pool``: one disposable, individually
-supervised OS process per in-flight lease, heartbeating over a pipe.
-The pipe now carries the same tagged JSON frames as the broker socket
+:class:`InProcessBackend` runs a serial campaign (``workers=1``): it
+advances the engine's lease executor one record per scheduler poll in
+the calling process, under the campaign's own telemetry.
+
+:class:`LocalBackend` runs each in-flight lease in its own disposable,
+individually supervised OS process, heartbeating over a pipe.
+The pipe carries the same tagged JSON frames as the broker socket
 (:mod:`repro.service.wire`) — ``Connection.send_bytes`` is already
 message-oriented, so framing adds checksum validation, and local and
 distributed execution share one wire vocabulary:
 
-``{"kind": "run"|"ok"|"metrics"|"spans"|"failure"|"done"|"error", ...}``
+``{"kind": "run"|"rec"|"metrics"|"spans"|"failure"|"done"|"error", ...}``
 
 Semantics preserved from the original pool: workers are not daemons
 (they must be able to spawn sandbox children), a dying worker is
@@ -21,20 +24,106 @@ workers.
 from __future__ import annotations
 
 import os
+from collections.abc import Generator
 from typing import TYPE_CHECKING, Any
 
+from repro.carolfi import engine as _engine
 from repro.carolfi import shmstore
-from repro.carolfi.isolation import IsolationConfig, describe_exitcode, mp_context, supervisor_for
+from repro.carolfi.isolation import describe_exitcode, mp_context, supervisor_for
 from repro.service.backend import BackendEvent, LeaseResult, ShardBackend, ShardLease
 from repro.service.wire import FrameError, decode_frame, encode_frame
-from repro.telemetry import ShardTelemetry, Telemetry, WorkerTelemetry
+from repro.telemetry import ShardTelemetry, Telemetry, WorkerTelemetry, current_tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from multiprocessing.connection import Connection
 
     from repro.carolfi.campaign import CampaignConfig
 
-__all__ = ["LocalBackend"]
+__all__ = ["InProcessBackend", "LocalBackend"]
+
+_Records = Generator[tuple[int, dict[str, Any]], None, None]
+
+
+def _shard_records(config: "CampaignConfig", lease: ShardLease, **hooks: Any) -> _Records:
+    """The lease's records from the engine's lease executor, inside the
+    ``shard`` span a local campaign's trace shows per lease."""
+    with current_tracer().span(
+        "shard", shard=lease.shard_index, start=lease.start, stop=lease.stop
+    ):
+        yield from _engine._execute_shard(config, lease, **hooks)
+
+
+class InProcessBackend(ShardBackend):
+    """One lease at a time, executed in the calling process.
+
+    Each :meth:`heartbeats` call advances the lease executor by one
+    record, so the scheduler regains control between records: progress
+    gauges and heartbeats move per run, and a failed run comes back as
+    an ``error`` result the scheduler retries and quarantines exactly
+    as it would for any other backend.  An uncatchable condition
+    (``os._exit``, a guard-free spin) still takes the calling process
+    down under inproc isolation — subprocess isolation exists for
+    exactly that.
+    """
+
+    local = True
+
+    def __init__(self, config: "CampaignConfig", *, golden_cache: str | None = None):
+        self._config = config
+        self._golden_cache = golden_cache
+        self._lease: ShardLease | None = None
+        self._records: _Records | None = None
+        self._events: list[BackendEvent] = []
+        self._results: list[LeaseResult] = []
+
+    def capacity(self) -> int:
+        return int(self._lease is None)
+
+    def submit(self, lease: ShardLease) -> str:
+        def forward(event: dict[str, Any]) -> None:
+            self._events.append(BackendEvent("failure", lease.lease_id, payload=event))
+
+        self._lease = lease
+        self._records = _shard_records(
+            self._config, lease, golden_cache=self._golden_cache, on_event=forward
+        )
+        return "inproc"
+
+    def heartbeats(self) -> list[BackendEvent]:
+        lease, records = self._lease, self._records
+        if lease is not None and records is not None:
+            try:
+                run, row = next(records)
+            except StopIteration:
+                self._end(LeaseResult(lease.lease_id, "done", worker="inproc"))
+            except Exception as exc:  # noqa: BLE001 — reported as a lease error
+                detail, run_index = _engine.run_failure(exc)
+                self._end(
+                    LeaseResult(
+                        lease.lease_id, "error", detail=detail, error_run=run_index, worker="inproc"
+                    )
+                )
+            else:
+                self._events.append(BackendEvent("rec", lease.lease_id, run=run, row=row))
+        out, self._events = self._events, []
+        return out
+
+    def _end(self, result: LeaseResult) -> None:
+        self._lease = self._records = None
+        self._results.append(result)
+
+    def results(self) -> list[LeaseResult]:
+        out, self._results = self._results, []
+        return out
+
+    def cancel(self, lease_id: str, *, reap: bool = False) -> None:
+        if self._lease is not None and self._lease.lease_id == lease_id:
+            self.close()
+
+    def close(self) -> None:
+        if self._records is not None:
+            self._records.close()
+        self._lease = self._records = None
 
 
 def _send(conn: "Connection", frame: dict[str, Any]) -> None:
@@ -47,25 +136,20 @@ def _send(conn: "Connection", frame: dict[str, Any]) -> None:
 def _lease_worker_main(
     config: "CampaignConfig",
     lease: ShardLease,
-    fingerprint: str,
-    isolation: IsolationConfig,
     shard_tel: ShardTelemetry,
     conn: "Connection",
     golden_cache: str | None = None,
 ) -> None:
     """Entry point of one disposable lease worker process.
 
-    Telemetry is rebuilt locally from the picklable ``shard_tel``
-    coordinates: metrics accumulate in a worker-private registry and
-    spans buffer in memory, and both are drained over the pipe after
-    every run (``metrics`` / ``spans`` frames).  Draining before the
-    final ``done`` keeps merging at-most-once: a killed worker loses
-    only its undrained tail, never double-counts.
+    Streams one ``rec`` frame per record of the lease.  Telemetry is
+    rebuilt locally from the picklable ``shard_tel`` coordinates:
+    metrics accumulate in a worker-private registry and spans buffer in
+    memory, and both are drained over the pipe after every record
+    (``metrics`` / ``spans`` frames).  Draining before the final
+    ``done`` keeps merging at-most-once: a killed worker loses only its
+    undrained tail, never double-counts.
     """
-    # Imported here (not at module top) so the engine module is fully
-    # initialised in forked children before we reach into it.
-    from repro.carolfi import engine as _engine
-
     # Under the fork start method this process inherits the parent's
     # sandbox cache, whose workers are NOT our children: drop the
     # handles (keeping cached geometry) and let the engine build our
@@ -83,34 +167,23 @@ def _lease_worker_main(
         if spans:
             _send(conn, {"kind": "spans", "batch": spans})
 
-    def run_done(k: int) -> None:
-        _send(conn, {"kind": "ok", "run": k})
-        flush_telemetry()
-
-    def forward_failure(event: dict[str, Any]) -> None:
-        _send(conn, {"kind": "failure", "event": event})
-
-    spec = _engine.ShardSpec(index=lease.shard_index, start=lease.start, stop=lease.stop)
     try:
         with worker_tel.activate():
-            _, rows = _engine._execute_shard(
+            for run, row in _shard_records(
                 config,
-                spec,
-                lease.checkpoint_file,
-                fingerprint,
-                isolation=isolation,
-                skip_runs=lease.skip,
-                on_run=lambda k: _send(conn, {"kind": "run", "run": k}),
-                on_run_done=run_done,
-                on_failure=forward_failure,
+                lease,
                 golden_cache=golden_cache,
-            )
-        flush_telemetry()  # tail: skip-run counters, shard + checkpoint spans
-        _send(conn, {"kind": "done", "rows": rows})
+                on_run=lambda k: _send(conn, {"kind": "run", "run": k}),
+                on_event=lambda event: _send(conn, {"kind": "failure", "event": event}),
+            ):
+                _send(conn, {"kind": "rec", "run": run, "row": row})
+                flush_telemetry()
+        flush_telemetry()  # tail: the shard span
+        _send(conn, {"kind": "done"})
         conn.close()
     except BaseException as exc:
-        run = exc.run_index if isinstance(exc, _engine.ShardRunError) else None
-        _send(conn, {"kind": "error", "detail": f"{type(exc).__name__}: {exc}", "run": run})
+        detail, run = _engine.run_failure(exc)
+        _send(conn, {"kind": "error", "detail": detail, "run": run})
         raise SystemExit(1) from exc
     finally:
         # Multiprocessing children skip regular atexit (os._exit), so
@@ -122,23 +195,21 @@ def _lease_worker_main(
         # segment *this* process published (normally none: the backend
         # publishes before forking; the pid guard protects the
         # parent's segments from us).
-        for sandbox in _engine._SANDBOXES.values():
-            sandbox.close()
-        _engine._SANDBOXES.clear()
+        _engine.close_sandboxes()
         shmstore.release_published()
 
 
 class _LeaseProc:
     """One live lease: its process, pipe, and staged terminal frames."""
 
-    __slots__ = ("lease", "proc", "conn", "done_rows", "error", "worker")
+    __slots__ = ("lease", "proc", "conn", "done", "error", "worker")
 
     def __init__(self, lease: ShardLease, proc: Any, conn: Any, worker: str):
         self.lease = lease
         self.proc = proc
         self.conn = conn
         self.worker = worker
-        self.done_rows: list[dict[str, Any]] | None = None
+        self.done = False
         self.error: tuple[str, int | None] | None = None
 
 
@@ -151,16 +222,13 @@ class LocalBackend(ShardBackend):
     run can never poison a neighbouring shard's executor.
     """
 
-    supports_steal = False
-    streams_records = False
+    local = True
 
     def __init__(
         self,
         config: "CampaignConfig",
-        fingerprint: str,
         *,
         workers: int,
-        isolation: IsolationConfig | None = None,
         telemetry: Telemetry | None = None,
         golden_cache: str | None = None,
         on_event: Any = None,
@@ -168,9 +236,7 @@ class LocalBackend(ShardBackend):
         if workers < 1:
             raise ValueError("workers must be positive")
         self._config = config
-        self._fingerprint = fingerprint
         self._workers = workers
-        self._isolation = isolation or IsolationConfig()
         self._telemetry = telemetry
         self._golden_cache = golden_cache
         self._ctx = mp_context()
@@ -214,15 +280,7 @@ class LocalBackend(ShardBackend):
         # sandbox down with it.
         proc = self._ctx.Process(
             target=_lease_worker_main,
-            args=(
-                self._config,
-                lease,
-                self._fingerprint,
-                self._isolation,
-                shard_tel,
-                conn_w,
-                self._golden_cache,
-            ),
+            args=(self._config, lease, shard_tel, conn_w, self._golden_cache),
             daemon=False,
             name=f"lease-{lease.lease_id}",
         )
@@ -248,8 +306,10 @@ class LocalBackend(ShardBackend):
             lease_id = live.lease.lease_id
             if kind == "run":
                 events.append(BackendEvent("run", lease_id, run=int(frame["run"])))
-            elif kind == "ok":
-                events.append(BackendEvent("ok", lease_id, run=int(frame["run"])))
+            elif kind == "rec":
+                events.append(
+                    BackendEvent("rec", lease_id, run=int(frame["run"]), row=frame["row"])
+                )
             elif kind == "metrics":
                 events.append(BackendEvent("metrics", lease_id, payload=frame["delta"]))
             elif kind == "spans":
@@ -257,7 +317,7 @@ class LocalBackend(ShardBackend):
             elif kind == "failure":
                 events.append(BackendEvent("failure", lease_id, payload=frame["event"]))
             elif kind == "done":
-                live.done_rows = list(frame["rows"])
+                live.done = True
             elif kind == "error":
                 run = frame.get("run")
                 live.error = (str(frame["detail"]), None if run is None else int(run))
@@ -272,22 +332,18 @@ class LocalBackend(ShardBackend):
     def _judge(self, live: _LeaseProc, events: list[BackendEvent]) -> None:
         """Stage a terminal result once the lease's fate is knowable."""
         lease_id = live.lease.lease_id
-        if live.done_rows is not None:
+        if live.done:
             self._retire(live)
-            self._results.append(
-                LeaseResult(lease_id, "done", rows=live.done_rows, worker=live.worker)
-            )
+            self._results.append(LeaseResult(lease_id, "done", worker=live.worker))
             del self._live[lease_id]
         elif live.proc is not None and not live.proc.is_alive():
             live.proc.join(timeout=5.0)
             # A final done/error frame may still sit in the pipe: drain
             # once more before judging the death.
             self._drain_conn(live, events)
-            if live.done_rows is not None:
+            if live.done:
                 self._retire(live)
-                self._results.append(
-                    LeaseResult(lease_id, "done", rows=live.done_rows, worker=live.worker)
-                )
+                self._results.append(LeaseResult(lease_id, "done", worker=live.worker))
             elif live.error is not None:
                 detail, run = live.error
                 self._retire(live)
@@ -297,7 +353,7 @@ class LocalBackend(ShardBackend):
                     )
                 )
             else:
-                detail = f"shard worker {describe_exitcode(live.proc.exitcode)}"
+                detail = describe_exitcode(live.proc.exitcode)
                 self._retire(live)
                 self._results.append(
                     LeaseResult(lease_id, "dead", detail=detail, worker=live.worker)

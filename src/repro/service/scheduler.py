@@ -1,27 +1,28 @@
 """Transport-agnostic shard scheduling: leases, retries, steals, re-leases.
 
-This loop is the generalisation of the engine's original process pool:
-it keeps the fault-domain semantics (deterministic backoff, liveness
-reaping, poison-run quarantine, no-progress abandonment) but talks to a
-:class:`~repro.service.backend.ShardBackend` instead of ``mp.Process``
-directly, so the same scheduler drives local worker processes and
-remote ``repro-worker`` agents behind a broker.
-
-Additions over the original pool, available when the backend supports
-them:
+This loop is the campaign's only fault domain: deterministic backoff,
+liveness reaping, poison-run quarantine and no-progress abandonment
+live here and nowhere else.  It talks to a
+:class:`~repro.service.backend.ShardBackend`, so the same scheduler
+drives a serial campaign in the calling process, local worker
+processes, and remote ``repro-worker`` agents behind a broker.
 
 * **record streaming** — completed runs arrive one ``rec`` event at a
   time, so a lease that dies mid-range is re-leased from its last
-  delivered record, not from the start of the shard;
+  delivered record, not from the start of the shard, and the scheduler
+  writes every shard checkpoint once the shard completes;
 * **work stealing** — when every shard is leased and capacity is idle,
   the straggler lease with the most remaining runs is split at the
   midpoint of its remaining range (a pure function of its progress, so
   the split is deterministic given the same state) and the tail half is
   leased to the idle worker;
-* **quarantine dedup** — a run is quarantined exactly once per
-  campaign, keyed by ``(shard, run)``; every re-lease ships the full
-  quarantine set, so a poison run is never re-executed on another host
-  without its ``sandbox:`` failure event on record (events carry the
+* **one quarantine record** — a run that fails
+  :attr:`~repro.carolfi.engine.RetryPolicy.max_run_deaths` times is
+  quarantined exactly once per campaign, keyed by ``(shard, run)``,
+  and its ``sandbox:`` DUE detail is built here alone from the run's
+  failure, never from the path that executed it; every re-lease ships
+  the full quarantine set, so a poison run is never re-executed on
+  another host without its failure event on record (events carry the
   lease id — the shard attempt — that triggered them).
 
 None of this can change campaign records: per-run RNG is keyed by run
@@ -43,6 +44,7 @@ from repro.carolfi.engine import (
     ShardSpec,
     backoff_delay,
 )
+from repro.carolfi.isolation import IsolationConfig
 from repro.faults.outcome import DueKind
 from repro.service.backend import BackendEvent, LeaseResult, ShardBackend, ShardLease
 from repro.telemetry import Telemetry
@@ -55,7 +57,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["StealPolicy", "run_shards", "write_shard_checkpoint"]
 
-#: Scheduler poll period while leases are in flight.
+#: Scheduler sleep after a poll that found nothing to do.
 _POLL_S = 0.005
 
 
@@ -115,7 +117,7 @@ class _Lease:
     worker: str
     stop: int  # effective stop; shrinks when the lease is stolen from
     current_run: int | None = None
-    done_through: int = -1  # last run index whose record arrived (streaming)
+    done_through: int = -1  # last run index whose record arrived
     last_beat: float = 0.0
     dispatched_mono: float = 0.0  # monotonic submit time (turnaround base)
     last_rec_mono: float | None = None  # monotonic arrival of latest record
@@ -137,15 +139,11 @@ class _Shard:
     attempts: int = 0
     lease_seq: int = 0
     no_progress: int = 0
-    progress_mark: int = -1
-    max_ok: int = -1
+    progress_mark: int = 0  # records held at the last failure
     started: bool = False
     finished: bool = False
     eligible_at: float = 0.0
     dispatched_at: float = 0.0
-
-    def progress(self, streaming: bool) -> int:
-        return len(self.rows) if streaming else self.max_ok
 
     def missing_runs(self) -> list[int]:
         return [k for k in self.spec.run_indices() if k not in self.rows]
@@ -167,11 +165,11 @@ def write_shard_checkpoint(
 ) -> None:
     """Write one complete shard checkpoint (header, records, done footer).
 
-    Streaming backends deliver records to the scheduler instead of
-    letting the executing worker write its own checkpoint file (the
-    worker may be on another host); the scheduler persists the shard in
-    the engine's existing checkpoint format once it completes, so
-    resume works identically for local and distributed campaigns.
+    Backends stream records to the scheduler instead of letting the
+    executing worker write its own checkpoint file (the worker may be
+    on another host); the scheduler persists the shard in the engine's
+    checkpoint format once it completes, so resume works identically
+    for serial, local and distributed campaigns.
     """
     from pathlib import Path
 
@@ -209,8 +207,12 @@ def run_shards(
     reporter: Any,
     gate: "_ConvergenceGate",
     steal: StealPolicy | None = None,
+    isolation: IsolationConfig | None = None,
 ) -> None:
     """Drive ``pending`` shards to completion through ``backend``.
+
+    Every lease carries ``isolation`` (where its injections run), so
+    each backend executes them the same way.
 
     Raises :class:`ShardFailure` when a shard keeps failing without
     making progress.  The backend is *not* closed on return — its
@@ -218,8 +220,8 @@ def run_shards(
     serves) — but every lease this call opened is cancelled.
     """
     steal = steal or StealPolicy()
-    streaming = backend.streams_records
-    announce = streaming  # lease lifecycle events only exist off-host
+    isolation = isolation or IsolationConfig()
+    announce = not backend.local  # lease lifecycle events only exist off-host
     # Hand the backend the campaign's telemetry bundle before anything
     # is dispatched: a broker registers its fleet-only series here and
     # captures the campaign span context (run_shards executes inside it)
@@ -293,7 +295,7 @@ def run_shards(
             stop=stop,
             attempt=shard.attempts,
             skip={k: v for k, v in shard.skip.items() if start <= k < stop},
-            checkpoint_file=None if streaming else ckpt_file(shard.spec),
+            isolation=isolation,
         )
         worker = backend.submit(lease)
         state = _Lease(
@@ -322,14 +324,12 @@ def run_shards(
 
     def finish_shard(shard: _Shard) -> None:
         index = shard.spec.index
-        if streaming:
-            rows = [shard.rows[k] for k in shard.spec.run_indices()]
-            path = ckpt_file(shard.spec)
-            if path is not None:
+        rows = [shard.rows[k] for k in shard.spec.run_indices()]
+        path = ckpt_file(shard.spec)
+        if path is not None:
+            with tel.tracer.span("checkpoint_write", shard=index, records=len(rows)):
                 write_shard_checkpoint(path, fingerprint, shard.spec, rows)
-            executed[index] = rows
-        # Non-streaming backends stored the rows wholesale in the done
-        # result handler before calling finish_shard.
+        executed[index] = rows
         shard.finished = True
         heartbeat.record_done(shard.spec.size, live=True)
         heartbeat.emit("finished", shard.spec)
@@ -341,12 +341,15 @@ def run_shards(
     def quarantine(shard: _Shard, run: int, due_kind: DueKind, detail: str, lease_id: str) -> bool:
         """Record one poison run exactly once; True if newly quarantined.
 
-        Dedupe by ``(shard, run)``: concurrent leases (a victim and its
-        thief, or racing re-leases) may both die on the same run, but
-        only the first death past the threshold emits the quarantine
-        event and extends the skip set — a shard re-leased to another
-        host never silently skips a run without its ``sandbox:`` event
-        on record.
+        The only place a quarantine DUE is built.  ``detail`` is the
+        run's own failure (``Type: message`` of an escaped exception,
+        or how the process running it died), so the record is the same
+        whichever path executed the run.  Dedupe by ``(shard, run)``:
+        concurrent leases (a victim and its thief, or racing re-leases)
+        may both fail on the same run, but only the first failure past
+        the threshold emits the quarantine event and extends the skip
+        set — a shard re-leased to another host never silently skips a
+        run without its ``sandbox:`` event on record.
         """
         key = (shard.spec.index, run)
         if key in quarantined:
@@ -355,7 +358,7 @@ def run_shards(
         count = shard.deaths.get(run, 0)
         shard.skip[run] = (
             due_kind.value,
-            f"sandbox: quarantined after {count} shard-worker deaths ({detail})",
+            f"sandbox: quarantined after {count} failed executions ({detail})",
         )
         sink(
             {
@@ -370,41 +373,32 @@ def run_shards(
         heartbeat.emit("quarantined", shard.spec, detail=f"run {run}: {detail}")
         return True
 
-    def handle_failure(shard: _Shard, state: _Lease, detail: str, reaped: bool) -> None:
+    def handle_failure(
+        shard: _Shard, state: _Lease, event: str, detail: str, reaped: bool = False
+    ) -> None:
+        """Judge one failed lease: ``event`` is ``run_error`` (the lease
+        reported a failed run) or ``worker_death`` (its executor died
+        or was reaped)."""
         index = shard.spec.index
         lease_id = state.lease.lease_id
         run = state.current_run
         due_kind = DueKind.HANG if reaped else DueKind.CRASH
-        progressed = shard.progress(streaming) > shard.progress_mark
-        shard.progress_mark = max(shard.progress(streaming), shard.progress_mark)
+        progressed = len(shard.rows) > shard.progress_mark
+        shard.progress_mark = max(len(shard.rows), shard.progress_mark)
+        failure: dict[str, Any] = {"event": event, "shard": index, "run": run}
+        failure["attempt"] = shard.attempts
         if run is not None:
-            count = shard.deaths[run] = shard.deaths.get(run, 0) + 1
-            sink(
-                {
-                    "event": "worker_death",
-                    "shard": index,
-                    "run": run,
-                    "attempt": shard.attempts,
-                    "deaths": count,
-                    "detail": detail,
-                    **({"lease": lease_id, "worker": state.worker} if announce else {}),
-                }
-            )
-            if count >= policy.max_run_deaths and quarantine(
-                shard, run, due_kind, detail, lease_id
-            ):
-                progressed = True
-        else:
-            sink(
-                {
-                    "event": "worker_death",
-                    "shard": index,
-                    "run": None,
-                    "attempt": shard.attempts,
-                    "detail": detail,
-                    **({"lease": lease_id, "worker": state.worker} if announce else {}),
-                }
-            )
+            failure["deaths"] = shard.deaths[run] = shard.deaths.get(run, 0) + 1
+        failure["detail"] = detail
+        if announce:
+            failure.update(lease=lease_id, worker=state.worker)
+        sink(failure)
+        if (
+            run is not None
+            and failure["deaths"] >= policy.max_run_deaths
+            and quarantine(shard, run, due_kind, detail, lease_id)
+        ):
+            progressed = True
         if progressed:
             shard.no_progress = 0
         else:
@@ -432,10 +426,9 @@ def run_shards(
         )
         heartbeat.emit("retried", shard.spec, detail=detail)
         shard.eligible_at = time.monotonic() + delay
-        # Re-queue what the dead lease still owed.  Streaming backends
-        # resume from the last delivered record; others re-run the
-        # whole range (their records only arrive wholesale at "done").
-        resume = max(state.done_through + 1, state.lease.start) if streaming else state.lease.start
+        # Re-queue what the dead lease still owed, resuming after its
+        # last delivered record.
+        resume = max(state.done_through + 1, state.lease.start)
         if resume < state.stop:
             shard.pending.append((resume, state.stop))
             if announce:
@@ -479,32 +472,25 @@ def run_shards(
                         "runs": state.stop - state.lease.start,
                     }
                 )
-            if streaming:
-                # The lease's own range must be covered; other leases
-                # (after a steal) may still owe their halves.
-                missing = shard.missing_runs()
-                owed = {
-                    k
-                    for other in shard.active.values()
-                    for k in range(max(other.done_through + 1, other.lease.start), other.stop)
-                }
-                stray = [k for k in missing if k not in owed]
-                for start, stop in _contiguous_ranges(stray):
-                    shard.pending.append((start, stop))
-                if not missing and not shard.active:
-                    finish_shard(shard)
-            else:
-                assert result.rows is not None
-                executed[index] = result.rows
+            # The lease's own range must be covered; other leases
+            # (after a steal) may still owe their halves.
+            missing = shard.missing_runs()
+            owed = {
+                k
+                for other in shard.active.values()
+                for k in range(max(other.done_through + 1, other.lease.start), other.stop)
+            }
+            stray = [k for k in missing if k not in owed]
+            for start, stop in _contiguous_ranges(stray):
+                shard.pending.append((start, stop))
+            if not missing and not shard.active:
                 finish_shard(shard)
         elif result.status == "error":
-            state.current_run = (
-                result.error_run if result.error_run is not None else state.current_run
-            )
-            handle_failure(shard, state, result.detail, reaped=False)
+            state.current_run = result.error_run
+            handle_failure(shard, state, "run_error", result.detail)
         else:  # dead
-            handle_failure(shard, state, result.detail, reaped=False)
-        if streaming and not shard.finished and not shard.active and not shard.pending:
+            handle_failure(shard, state, "worker_death", result.detail)
+        if not shard.finished and not shard.active and not shard.pending:
             missing = shard.missing_runs()
             if not missing:
                 finish_shard(shard)
@@ -531,11 +517,6 @@ def run_shards(
         state.last_beat = now
         if event.kind == "run":
             state.current_run = event.run
-        elif event.kind == "ok":
-            state.current_run = None
-            assert event.run is not None
-            shard.max_ok = max(shard.max_ok, event.run)
-            shard_done.set(event.run - shard.spec.start + 1, shard=index)
         elif event.kind == "rec":
             state.current_run = None
             assert event.run is not None and event.row is not None
@@ -578,11 +559,12 @@ def run_shards(
             overhead = max(overhead, 4.0 * rtt_q)
         return overhead, fleet_q, rtt_q
 
-    def try_steal(now: float) -> None:
+    def try_steal(now: float) -> bool:
+        """Split the best straggler lease; True if a steal was dispatched."""
         if not (backend.supports_steal and steal.enabled):
-            return
+            return False
         if any(s.pending for s in shards.values()) or backend.capacity() < 1:
-            return
+            return False
         overhead, fleet_q, rtt_q = (
             steal_overhead() if steal.adaptive else (0.0, None, None)
         )
@@ -608,12 +590,12 @@ def run_shards(
                 if best is None or score > best[0]:
                     best = (score, shard, state, remaining, latency, estimator)
         if best is None:
-            return
+            return False
         _score, shard, victim, remaining, latency, estimator = best
         next_undone = victim.done_through + 1
         mid = next_undone + (remaining + 1) // 2  # victim keeps the in-flight half
         if mid >= victim.stop or not backend.shrink(victim.lease.lease_id, mid):
-            return
+            return False
         old_stop = victim.stop
         victim.stop = mid
         steal_counter.inc()
@@ -644,15 +626,19 @@ def run_shards(
             detail=f"lease {victim.lease.lease_id} split at run {mid} ({estimator})",
         )
         dispatch(shard, mid, old_stop, now)
+        return True
 
     try:
         while not gate.stopped and any(not s.finished for s in shards.values()):
             now = time.monotonic()
             reporter.tick()
-            for event in backend.heartbeats():
+            events = backend.heartbeats()
+            for event in events:
                 handle_event(event, now)
-            for result in backend.results():
+            results = backend.results()
+            for result in results:
                 handle_result(result, now)
+            busy = bool(events or results)
             # Liveness: a lease whose executor sent nothing for too long
             # is reaped — cancelled at the backend, its in-flight run
             # charged a death, its remaining range re-queued.
@@ -660,31 +646,21 @@ def run_shards(
                 for lease_id, state in list(shard.active.items()):
                     if now - state.last_beat <= policy.liveness_timeout_s:
                         continue
+                    stalled = f"no heartbeat for {policy.liveness_timeout_s:.0f}s"
                     sink(
                         {
                             "event": "reap",
                             "shard": shard.spec.index,
                             "run": state.current_run,
                             "attempt": shard.attempts,
-                            "detail": f"no heartbeat for "
-                            f"{policy.liveness_timeout_s:.0f}s; worker killed",
+                            "detail": f"{stalled}; worker killed",
                             **({"lease": lease_id, "worker": state.worker} if announce else {}),
                         }
                     )
-                    heartbeat.emit(
-                        "reaped",
-                        shard.spec,
-                        detail=f"no heartbeat for {policy.liveness_timeout_s:.0f}s",
-                    )
+                    heartbeat.emit("reaped", shard.spec, detail=stalled)
                     backend.cancel(lease_id, reap=True)
                     drop_lease(shard, lease_id)
-                    handle_failure(
-                        shard,
-                        state,
-                        f"hung: no heartbeat for {policy.liveness_timeout_s:.0f}s; "
-                        "worker reaped",
-                        reaped=True,
-                    )
+                    handle_failure(shard, state, "worker_death", f"hung: {stalled}", reaped=True)
             # Dispatch pending ranges into free capacity, shard order.
             while backend.capacity() > 0:
                 ready = next(
@@ -699,8 +675,11 @@ def run_shards(
                     break
                 start, stop = ready.pending.pop(0)
                 dispatch(ready, start, stop, now)
-            try_steal(now)
-            if any(not s.finished for s in shards.values()) and not gate.stopped:
+                busy = True
+            busy = try_steal(now) or busy
+            # Sleep only when the poll found nothing to do: a backend
+            # that is making progress is polled again at once.
+            if not busy and any(not s.finished for s in shards.values()) and not gate.stopped:
                 time.sleep(_POLL_S)
     finally:
         # A converged gate (or a raised ShardFailure) ends the campaign:

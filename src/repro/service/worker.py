@@ -2,15 +2,16 @@
 
 One worker process connects to a :class:`repro.service.broker.
 BrokerBackend`, announces itself, and then executes the leases the
-broker sends — one at a time, one run at a time, streaming each run's
-record back as it completes (``rec`` frames).  Between runs it polls
-the socket for control frames, so a ``shrink`` (work stealing) or
-``cancel`` takes effect at the next run boundary, and a ``ping`` is
-answered immediately (the broker's heartbeat-RTT probe).
+broker sends — one at a time, streaming each run's record back as it
+completes (``rec`` frames).  Between records it polls the socket for
+control frames, so a ``shrink`` (work stealing) or ``cancel`` takes
+effect at the next record boundary, and a ``ping`` is answered
+immediately (the broker's heartbeat-RTT probe).
 
 Observability: when the lease frame carries a span context, the worker
 builds a local tracer parented on the broker's campaign span, wraps the
-lease and each run in spans, and streams finished spans back as
+lease in a span (the runs' spans nest inside it), and streams finished
+spans back as
 ``spans`` frames — always *before* the terminal ``done``/``error``
 frame, so they arrive while the scheduler is still draining events for
 this lease.  None of this touches record production: spans and metrics
@@ -18,20 +19,22 @@ never draw from the campaign's RNG streams, and a campaign without
 tracing sends no span frames at all, so ``campaign.jsonl`` stays
 byte-identical to serial either way.
 
-Determinism: every run is executed through the engine's own
-``_execute_shard`` on a single-run range, so record production — RNG
-derivation, fault-model rotation, quarantined-run synthesis, outcome
-classification — is byte-for-byte the code path a local campaign runs.
-A worker never needs campaign context beyond the lease: the config
-rides along in the lease frame and the per-run RNG is keyed by run
-index.
+Determinism: a whole lease is executed through the engine's own lease
+executor (``_execute_shard``), so record production — RNG derivation,
+fault-model rotation, quarantined-run synthesis, outcome
+classification, the lease's isolation and the config's ``batch_size``
+— is byte-for-byte the code path a local campaign runs.  A worker
+never needs campaign context beyond the lease: the config and the
+isolation ride along in the lease frame and the per-run RNG is keyed
+by run index.  The golden-run cache is host-local and never forwarded:
+each worker host computes its own golden runs.
 
 Failure injection for tests (and chaos drills):
 
 * ``REPRO_WORKER_DIE_AFTER=N`` — the process exits abruptly (no
   goodbye, no flush) after streaming its N-th record, simulating a
   worker host dying mid-lease;
-* ``REPRO_WORKER_SLOW_S=x`` — sleep ``x`` seconds before each run,
+* ``REPRO_WORKER_SLOW_S=x`` — sleep ``x`` seconds before each record,
   turning this worker into the straggler a steal rescues.
 """
 
@@ -112,14 +115,10 @@ def _execute_lease(
 
     lease = lease_from_wire(frame["lease"])
     config = CampaignConfig.from_wire(frame["config"])
-    fingerprint = str(frame["fingerprint"])
     lease_id = lease.lease_id
     stop = lease.stop
     die_after = int(os.environ.get("REPRO_WORKER_DIE_AFTER", "0") or 0)
     slow_s = float(os.environ.get("REPRO_WORKER_SLOW_S", "0") or 0)
-
-    def forward_failure(event: dict[str, Any]) -> None:
-        link.send({"kind": "failure", "lease": lease_id, "event": event})
 
     # Continue the broker's campaign trace when the lease carries its
     # span context: our lease/run spans become children of the campaign
@@ -137,8 +136,8 @@ def _execute_lease(
 
     registry = MetricsRegistry()
     outcome = "done"  # done | cancelled | error
-    error: tuple[str, int] | None = None
-    with tracer.span(
+    error: tuple[str, int | None] | None = None
+    with activate(registry, tracer), tracer.span(
         "lease",
         lease=lease_id,
         shard=lease.shard_index,
@@ -147,51 +146,55 @@ def _execute_lease(
         attempt=lease.attempt,
         worker=worker_name,
     ) as lease_span:
-        k = lease.start
-        while k < stop:
-            # Control frames act at run boundaries: shrink narrows the
-            # range (steal), cancel abandons the lease, ping is answered
-            # in place.  Anything for an older lease is stale, dropped.
-            for control in link.poll(0):
-                kind = control.get("kind")
-                if kind == "ping":
-                    link.send({"kind": "pong", "seq": control.get("seq")})
-                elif kind == "shrink" and control.get("lease") == lease_id:
-                    stop = min(stop, int(control["stop"]))
-                elif kind == "cancel" and control.get("lease") == lease_id:
-                    outcome = "cancelled"
+        records = _engine._execute_shard(
+            config,
+            lease,
+            on_run=lambda k: link.send({"kind": "run", "lease": lease_id, "run": k}),
+            on_event=lambda event: link.send(
+                {"kind": "failure", "lease": lease_id, "event": event}
+            ),
+        )
+        try:
+            k = lease.start
+            while k < stop:
+                # Control frames act at record boundaries: shrink
+                # narrows the range (steal), cancel abandons the lease,
+                # ping is answered in place.  Anything for an older
+                # lease is stale, dropped.
+                for control in link.poll(0):
+                    kind = control.get("kind")
+                    if kind == "ping":
+                        link.send({"kind": "pong", "seq": control.get("seq")})
+                    elif kind == "shrink" and control.get("lease") == lease_id:
+                        stop = min(stop, int(control["stop"]))
+                    elif kind == "cancel" and control.get("lease") == lease_id:
+                        outcome = "cancelled"
+                if outcome == "cancelled" or k >= stop:
                     break
-            if outcome == "cancelled" or k >= stop:
-                break
-            link.send({"kind": "run", "lease": lease_id, "run": k})
-            if slow_s > 0:
-                time.sleep(slow_s)
-            spec = _engine.ShardSpec(index=lease.shard_index, start=k, stop=k + 1)
-            try:
-                with activate(registry, tracer), tracer.span("run", run=k):
-                    _, rows = _engine._execute_shard(
-                        config,
-                        spec,
-                        None,
-                        fingerprint,
-                        skip_runs=lease.skip,
-                        on_failure=forward_failure,
-                    )
-            except Exception as exc:  # noqa: BLE001 — reported, worker survives
-                outcome = "error"
-                error = (f"{type(exc).__name__}: {exc}", k)
-                break
-            link.send({"kind": "rec", "lease": lease_id, "run": k, "row": rows[0]})
-            delta = registry.drain_delta()
-            if delta:
-                link.send({"kind": "metrics", "lease": lease_id, "delta": delta})
-            flush_spans()
-            state["records"] += 1
-            if die_after and state["records"] >= die_after:
-                # Chaos hook: vanish mid-lease with no goodbye — exactly
-                # what a dying worker host looks like to the broker.
-                os._exit(7)
-            k += 1
+                if slow_s > 0:
+                    time.sleep(slow_s)
+                try:
+                    k, row = next(records)
+                except _SessionClosed:
+                    raise
+                except Exception as exc:  # noqa: BLE001 — reported, worker survives
+                    outcome = "error"
+                    error = _engine.run_failure(exc)
+                    break
+                link.send({"kind": "rec", "lease": lease_id, "run": k, "row": row})
+                delta = registry.drain_delta()
+                if delta:
+                    link.send({"kind": "metrics", "lease": lease_id, "delta": delta})
+                flush_spans()
+                state["records"] += 1
+                if die_after and state["records"] >= die_after:
+                    # Chaos hook: vanish mid-lease with no goodbye —
+                    # exactly what a dying worker host looks like to
+                    # the broker.
+                    os._exit(7)
+                k += 1
+        finally:
+            records.close()
         if outcome != "done":
             lease_span.set_attr("outcome", outcome)
     # The lease span is finished now; ship it (and any stragglers)
@@ -219,7 +222,7 @@ def run_worker(
     or unreachable); otherwise it reconnects forever — the behaviour a
     long-lived worker host wants.
     """
-    from repro.carolfi import shmstore
+    from repro.carolfi import engine, shmstore
 
     worker_name = name or f"{socket.gethostname()}/pid{os.getpid()}"
     state = {"records": 0}
@@ -256,10 +259,12 @@ def run_worker(
                 return 0
             time.sleep(reconnect_delay)
     finally:
-        # Unlink any shared-memory snapshot segments this agent
-        # published (first agent on a host publishes; later ones
-        # attach).  Best effort — an abrupt death leaves the atexit
-        # hook, and the engine-side teardown, as backstops.
+        # Shut down our sandbox workers, then unlink any shared-memory
+        # snapshot segments this agent published (first agent on a
+        # host publishes; later ones attach).  Best effort — an abrupt
+        # death leaves the atexit hook, and the engine-side teardown,
+        # as backstops.
+        engine.close_sandboxes()
         shmstore.release_published()
 
 

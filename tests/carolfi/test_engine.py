@@ -571,6 +571,24 @@ def test_progress_reporter_emits_status_lines():
     assert "masked" in lines[-1] and "eta" in lines[-1]
 
 
+def test_serial_shard_progress_advances_per_run(monkeypatch):
+    """A serial shard runs inside the scheduler loop, which regains
+    control after every record: the per-shard gauge moves run by run."""
+    from repro.service.local import InProcessBackend
+
+    tel = Telemetry(TelemetryConfig())
+    seen = []
+    poll = InProcessBackend.heartbeats
+
+    def spy(self):
+        seen.append(tel.registry.gauge("repro_shard_runs_done").value(shard=0))
+        return poll(self)
+
+    monkeypatch.setattr(InProcessBackend, "heartbeats", spy)
+    run_campaign(CONFIG, workers=1, shard_size=SHARD_SIZE, telemetry=tel)
+    assert set(range(SHARD_SIZE + 1)) <= set(seen)
+
+
 def test_failure_events_counted_by_kind(tmp_path):
     tel = Telemetry(TelemetryConfig())
     run_campaign(

@@ -14,7 +14,7 @@ import pytest
 
 from repro.benchmarks.base import window_of_step
 from repro.carolfi.campaign import CampaignConfig, run_campaign
-from repro.carolfi.engine import read_failure_log
+from repro.carolfi.engine import RetryPolicy, read_failure_log
 from repro.carolfi.isolation import (
     InjectionSandbox,
     IsolationConfig,
@@ -65,8 +65,6 @@ def test_isolation_config_validation():
         IsolationConfig(timeout_s=0)
     with pytest.raises(ValueError):
         IsolationConfig(mem_limit_mb=-1)
-    with pytest.raises(ValueError):
-        IsolationConfig(max_run_deaths=0)
     with pytest.raises(ValueError):
         IsolationConfig(mode="gdb")
 
@@ -129,7 +127,10 @@ def test_sandbox_run_one_direct():
 
 
 def test_hard_exit_is_quarantined_as_crash_due(tmp_path, clean_twin):
-    """``os._exit(86)`` kills the worker; the run ends up a DUE, twice-tried."""
+    """``os._exit(86)`` kills the worker; the run ends up a DUE, twice-tried.
+
+    The sandbox only reports each death; the scheduler counts them
+    against the one threshold, ``RetryPolicy.max_run_deaths``."""
     log = tmp_path / "failures.jsonl"
     result = run_campaign(
         chaos_config("exit"), workers=1, shard_size=4, isolation=SUBPROC, failure_log=log
@@ -140,9 +141,10 @@ def test_hard_exit_is_quarantined_as_crash_due(tmp_path, clean_twin):
     events, skipped = read_failure_log(log)
     assert skipped == 0
     kinds = [e["event"] for e in events]
-    assert "sandbox_death" in kinds and "sandbox_quarantine" in kinds
-    deaths = [e for e in events if e["event"] == "sandbox_death"]
-    assert max(e["deaths"] for e in deaths) == SUBPROC.max_run_deaths
+    assert "sandbox_death" in kinds and "quarantine" in kinds
+    failures = [e for e in events if e["event"] == "run_error"]
+    assert all(e["detail"] == "exit code 86" for e in failures)
+    assert max(e["deaths"] for e in failures) == RetryPolicy().max_run_deaths
 
 
 def test_signal_death_classified_as_crash(clean_twin):
@@ -178,6 +180,52 @@ def test_parallel_sandbox_campaign_matches_twin(clean_twin):
     """Acceptance: pool + sandbox completes; non-poison records identical."""
     result = run_campaign(chaos_config("abort"), workers=2, shard_size=4, isolation=SUBPROC)
     assert_matches_twin_except_sandbox_dues(result, clean_twin)
+
+
+# -- one quarantine record, whatever path ran the run --------------------------
+
+FAST_RETRY = RetryPolicy(backoff_base_s=0.001, backoff_cap_s=0.002)
+
+
+def logged_campaign(tmp_path, config, **kwargs):
+    """Campaign log bytes plus ``(run, detail)`` of every quarantine event."""
+    tmp_path.mkdir(parents=True, exist_ok=True)
+    log, failures = tmp_path / "campaign.jsonl", tmp_path / "failures.jsonl"
+    run_campaign(config, log, shard_size=4, retry=FAST_RETRY, failure_log=failures, **kwargs)
+    events, skipped = read_failure_log(failures)
+    assert skipped == 0
+    return log.read_bytes(), [(e["run"], e["detail"]) for e in events if e["event"] == "quarantine"]
+
+
+@pytest.fixture(scope="module")
+def oserror_reference(tmp_path_factory):
+    """Serial inproc campaign whose run 1 raises an escaped OSError."""
+    return logged_campaign(tmp_path_factory.mktemp("ref"), chaos_config("oserror", 8), workers=1)
+
+
+@pytest.mark.parametrize("mode", ["inproc", "subprocess"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_escaped_exception_quarantine_independent_of_path(
+    tmp_path, oserror_reference, workers, mode
+):
+    log, quarantines = logged_campaign(
+        tmp_path, chaos_config("oserror", 8), workers=workers, isolation=IsolationConfig(mode=mode)
+    )
+    assert log == oserror_reference[0]
+    assert quarantines == oserror_reference[1]
+    assert [run for run, _ in quarantines] == [1]  # exactly once
+    assert b"quarantined after 2 failed executions (OSError: chaos" in log
+
+
+@pytest.mark.parametrize("failure", ["exit", "abort"])
+def test_process_death_quarantine_independent_of_isolation(tmp_path, failure):
+    """A run that kills its process: the pool's lease worker dies under
+    inproc isolation, its sandbox under subprocess — one record."""
+    config = chaos_config(failure, 8)
+    inproc = logged_campaign(tmp_path / "inproc", config, workers=2)
+    sandboxed = logged_campaign(tmp_path / "subprocess", config, workers=2, isolation=SUBPROC)
+    assert sandboxed == inproc
+    assert inproc[1], "campaign never hit the trigger; test is vacuous"
 
 
 # -- sandbox infrastructure failures ------------------------------------------

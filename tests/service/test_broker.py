@@ -7,6 +7,7 @@ the serial log.  Workers here are genuine ``repro-worker`` subprocesses
 talking to the broker over localhost sockets.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -19,6 +20,7 @@ import pytest
 
 from repro.carolfi.campaign import CampaignConfig, run_campaign
 from repro.carolfi.engine import RetryPolicy, campaign_fingerprint, run_sharded_campaign
+from repro.carolfi.isolation import IsolationConfig, IsolationMode
 from repro.service.broker import BrokerBackend, lease_from_wire, lease_to_wire
 from repro.service.backend import ShardLease
 from repro.telemetry import Telemetry, TelemetryConfig
@@ -53,11 +55,11 @@ def _spawn_worker(address, name, **env_extra):
     )
 
 
-def _broker_campaign(tmp_path, *, worker_envs, shard_size=None):
+def _broker_campaign(tmp_path, *, worker_envs, shard_size=None, config=CONFIG, **campaign):
     serial_log = tmp_path / "serial.jsonl"
-    run_campaign(CONFIG, log_path=serial_log)
+    run_campaign(config, log_path=serial_log)
 
-    broker = BrokerBackend(CONFIG, campaign_fingerprint(CONFIG, shard_size))
+    broker = BrokerBackend(config, campaign_fingerprint(config, shard_size))
     log = tmp_path / "broker.jsonl"
     flog = tmp_path / "failures.jsonl"
     workers = [
@@ -71,13 +73,14 @@ def _broker_campaign(tmp_path, *, worker_envs, shard_size=None):
         # the kill/steal the test means to observe never happens.
         assert broker.wait_for_workers(len(workers), timeout=30.0)
         result = run_sharded_campaign(
-            CONFIG,
+            config,
             workers=len(workers),
             backend=broker,
             retry=FAST,
             shard_size=shard_size,
             log_path=log,
             failure_log=flog,
+            **campaign,
         )
     finally:
         broker.close()
@@ -94,6 +97,35 @@ def test_two_workers_merge_byte_identical(tmp_path):
     assert broker_bytes == serial_bytes  # the cmp invariant, over real sockets
     kinds = {e["event"] for e in events}
     assert "lease" in kinds and "lease_done" in kinds and "worker_connected" in kinds
+
+
+def test_workers_honour_lease_isolation(tmp_path):
+    """The lease carries the campaign's isolation: agents sandbox each run."""
+    _result, serial_bytes, broker_bytes, events = _broker_campaign(
+        tmp_path,
+        worker_envs=[{}, {}],
+        shard_size=8,
+        isolation=IsolationConfig(mode=IsolationMode.SUBPROCESS),
+    )
+    assert broker_bytes == serial_bytes
+    assert "sandbox_spawn" in {e["event"] for e in events}
+
+
+def test_workers_batch_whole_leases(tmp_path):
+    """Agents run a whole lease through one executor, so ``batch_size``
+    groups runs instead of batching each run alone."""
+    tel = Telemetry(TelemetryConfig())
+    _result, serial_bytes, broker_bytes, _events = _broker_campaign(
+        tmp_path,
+        worker_envs=[{}, {}],
+        shard_size=8,
+        config=dataclasses.replace(CONFIG, batch_size=64),
+        telemetry=tel,
+    )
+    assert broker_bytes == serial_bytes
+    counters = tel.registry.counter_values()
+    groups = sum(counters["repro_batch_groups_total"].values())
+    assert 0 < groups < CONFIG.injections
 
 
 def test_killed_worker_is_re_leased_and_log_stays_identical(tmp_path):

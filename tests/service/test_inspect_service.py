@@ -25,8 +25,10 @@ EVENTS = [
     {"event": "worker_lost", "worker": "w0", "detail": "connection dropped"},
     {"event": "lease", "shard": 0, "lease": "s00000.2", "worker": "w1",
      "start": 3, "stop": 8, "attempt": 2, "resume_from": 3},
+    {"event": "run_error", "shard": 0, "run": 5, "attempt": 2, "deaths": 2,
+     "detail": "OSError: disk gone", "lease": "s00000.2", "worker": "w1"},
     {"event": "quarantine", "shard": 0, "run": 5,
-     "detail": "sandbox: quarantined after 2 worker deaths", "lease": "s00000.2"},
+     "detail": "OSError: disk gone", "lease": "s00000.2"},
     {"event": "lease_done", "shard": 1, "lease": "s00001.1", "worker": "w1",
      "runs": 5},
     {"event": "lease_done", "shard": 1, "lease": "s00001.2", "worker": "w0",
@@ -59,6 +61,7 @@ def test_service_view_renders_leases_workers_and_disruptions(tmp_path):
     assert "worker_death" in text
     assert "quarantine" in text
     assert "run 5 quarantined" in text
+    assert "w1 failed run 5: OSError: disk gone" in text  # a run_error
 
 
 def test_service_view_accepts_campaign_directory(tmp_path):

@@ -13,13 +13,14 @@ the service-layer contracts the broker relies on:
   quarantined, and complete either way.
 """
 
+import dataclasses
 import json
 import time
 
 import pytest
 
 from repro.carolfi.campaign import CampaignConfig, run_campaign
-from repro.carolfi.engine import RetryPolicy, ShardSpec, _execute_shard
+from repro.carolfi.engine import RetryPolicy, _execute_shard
 from repro.service.backend import BackendEvent, LeaseResult, ShardBackend, ShardLease
 from repro.service.scheduler import StealPolicy, _contiguous_ranges
 
@@ -33,11 +34,16 @@ SHARD_SIZE = 6
 FAST = RetryPolicy(max_attempts=6, backoff_base_s=0.005, backoff_cap_s=0.01)
 
 
+def _record(config, lease: ShardLease, k: int) -> dict:
+    """Run ``k``'s record through the engine's lease executor."""
+    ((_, row),) = _execute_shard(config, dataclasses.replace(lease, start=k, stop=k + 1))
+    return row
+
+
 class ScriptedBackend(ShardBackend):
     """Executes leases synchronously, with scripted worker deaths."""
 
     supports_steal = False
-    streams_records = True
 
     def __init__(self, config, fingerprint, *, poison=(), die_after=None):
         self.config = config
@@ -71,15 +77,8 @@ class ScriptedBackend(ShardBackend):
                 )
                 return
             self._events.append(BackendEvent("run", lease.lease_id, run=k))
-            _, rows = _execute_shard(
-                self.config,
-                ShardSpec(index=lease.shard_index, start=k, stop=k + 1),
-                None,
-                self.fingerprint,
-                skip_runs=lease.skip,
-            )
             self._events.append(
-                BackendEvent("rec", lease.lease_id, run=k, row=rows[0])
+                BackendEvent("rec", lease.lease_id, run=k, row=_record(self.config, lease, k))
             )
             sent += 1
             if budget is not None and sent >= budget:
@@ -239,7 +238,6 @@ class StealableBackend(ShardBackend):
     """
 
     supports_steal = True
-    streams_records = True
 
     def __init__(self, config, fingerprint, *, latency=0.0):
         self.config = config
@@ -264,14 +262,7 @@ class StealableBackend(ShardBackend):
         return "fast"
 
     def _row(self, lease: ShardLease, k: int) -> dict:
-        _, rows = _execute_shard(
-            self.config,
-            ShardSpec(index=lease.shard_index, start=k, stop=k + 1),
-            None,
-            self.fingerprint,
-            skip_runs=lease.skip,
-        )
-        return rows[0]
+        return _record(self.config, lease, k)
 
     def heartbeats(self) -> list[BackendEvent]:
         if self.fast is not None:
