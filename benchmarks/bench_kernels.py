@@ -37,3 +37,22 @@ def test_clamr_neighbour_queries(benchmark):
     qx, qy = rng.random(480), rng.random(480)
     found = benchmark(lambda: tree.query_nearest(x, y, qx, qy))
     assert found.shape == (480,)
+
+
+def test_clamr_neighbour_phase_real_mesh(benchmark):
+    """Neighbour phase on the adapted mesh CLAMR's last timestep queries.
+
+    Steps a golden run up to phase 3 (neighbour queries) of its final
+    timestep, so the tree, leaf widths and query pattern are the real
+    ones rather than uniform random points.
+    """
+    from repro.benchmarks.clamr.driver import Clamr
+    from repro.benchmarks.clamr.shallow import find_face_neighbors
+
+    bench = Clamr()
+    state = bench.make_state(derive_rng(2017, "golden-regression", "clamr"))
+    phase3 = bench.num_steps(state) - 3
+    for index in range(phase3):
+        bench.step(state, index)
+    nbrs = benchmark(lambda: find_face_neighbors(state.mesh, state.tree))
+    assert nbrs.shape == (4, state.mesh.live())

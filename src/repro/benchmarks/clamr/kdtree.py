@@ -10,7 +10,12 @@ trips the traversal budget (DUE hang).
 
 Build is iterative over node segments (O(n log n) with ~n/leaf_size
 Python iterations); queries are batched — all query points descend the
-tree simultaneously in vectorised sweeps.
+tree simultaneously in vectorised sweeps, then every reached leaf is
+scanned at once as one row of a padded (leaves x width) candidate
+table.  The scan runs in row chunks so a corrupted leaf range that
+spans the whole point set cannot blow up the distance matrix, and it
+raises exactly the error a leaf-by-leaf scan in ascending leaf id
+would (run records carry the message).
 """
 
 from __future__ import annotations
@@ -24,6 +29,9 @@ from repro.benchmarks.base import BenchmarkHang
 __all__ = ["KdTree"]
 
 _MAX_DESCENT = 64
+# Distance-matrix cells per leaf-scan chunk (bounds memory when a
+# corrupted leaf range spans the whole point set).
+_SCAN_CELLS = 1 << 12
 
 
 @dataclass
@@ -117,6 +125,13 @@ class KdTree:
         leaf almost always holds the true nearest centre; the rare
         boundary miss adds a little numerical diffusion but keeps the
         scheme deterministic and stable.
+
+        The leaf scan is one padded pass over all reached leaves, done
+        in row chunks of at most ``_SCAN_CELLS`` distances.  Errors
+        follow a leaf-by-leaf scan: the lowest-id reached leaf with a
+        bad range or an out-of-bounds candidate raises, and a leaf's
+        range is checked before its candidates.  Leaves no query
+        reaches are never checked.
         """
         n_nodes = int(self.n_nodes[()])
         if not 0 < n_nodes <= self.left.shape[0]:
@@ -125,7 +140,6 @@ class KdTree:
         qy = np.asarray(qy, dtype=float)
         m = qx.shape[0]
         cur = np.zeros(m, dtype=np.int64)
-        coords = (qx, qy)
         for _sweep in range(_MAX_DESCENT):
             left = self.left[cur]
             internal = left >= 0
@@ -145,20 +159,45 @@ class KdTree:
         else:
             raise BenchmarkHang("kd-tree descent did not terminate")
 
-        out = np.empty(m, dtype=np.int64)
+        # Leaf scan: every reached leaf is one row of a (leaves x width)
+        # candidate table.  Padding columns get distance +inf, so argmin's
+        # first-minimum rule (NaN included) picks the leaf's own column.
+        if m == 0:
+            return cur
         n_points = x.shape[0]
-        for leaf in np.unique(cur):
-            lo, hi = int(self.leaf_lo[leaf]), int(self.leaf_hi[leaf])
-            if not (0 <= lo < hi <= self.perm.shape[0]):
-                raise IndexError(f"corrupted kd-tree leaf range [{lo}, {hi})")
-            cand = self.perm[lo:hi]
-            if np.any((cand < 0) | (cand >= n_points)):
-                raise IndexError("corrupted kd-tree leaf candidate")
-            sel = np.flatnonzero(cur == leaf)
-            with np.errstate(over="ignore", invalid="ignore"):
-                dx = coords[0][sel][:, None] - x[cand][None, :]
-                dy = coords[1][sel][:, None] - y[cand][None, :]
-                out[sel] = cand[np.argmin(dx * dx + dy * dy, axis=1)]
+        leaves, row_leaf = np.unique(cur, return_inverse=True)
+        lo = self.leaf_lo[leaves].astype(np.int64)
+        hi = self.leaf_hi[leaves].astype(np.int64)
+        bad_range = ~((lo >= 0) & (lo < hi) & (hi <= self.perm.shape[0]))
+        width = np.where(bad_range, 0, hi - lo)
+        cols = np.arange(max(1, int(width.max())))
+        # Padding (and every slot of a bad-range leaf) reads perm[0],
+        # then is zeroed: a corrupted perm[0] must neither fail a leaf
+        # that does not own it nor index the coordinates below.
+        pad = cols >= width[:, None]
+        slots = lo[:, None] + cols
+        slots[pad] = 0
+        cand = self.perm[slots]
+        cand[pad] = 0
+        bad_cand = np.any((cand < 0) | (cand >= n_points), axis=1)
+        failed = np.flatnonzero(bad_range | bad_cand)
+        if failed.size:
+            k = failed[0]  # np.unique sorted the leaves: lowest id first
+            if bad_range[k]:
+                raise IndexError(f"corrupted kd-tree leaf range [{lo[k]}, {hi[k]})")
+            raise IndexError("corrupted kd-tree leaf candidate")
+        out = np.empty(m, dtype=np.int64)
+        step = max(1, _SCAN_CELLS // cols.size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, m, step):
+                chunk = slice(start, start + step)
+                rows = row_leaf[chunk]
+                near = cand[rows]
+                dx = qx[chunk, None] - x[near]
+                dy = qy[chunk, None] - y[near]
+                d2 = dx * dx + dy * dy
+                d2[pad[rows]] = np.inf
+                out[chunk] = near[np.arange(near.shape[0]), np.argmin(d2, axis=1)]
         return out
 
     def variables(self) -> dict[str, np.ndarray]:

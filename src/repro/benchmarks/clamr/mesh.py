@@ -155,36 +155,40 @@ class AmrMesh:
         parents = self.parent[:n]
         if not np.any(parents >= 0):
             return 0
+        # Sibling groups are runs of equal parent id in a stable sort, so
+        # each group lists its members in ascending cell order.
         order = np.argsort(parents, kind="stable")
-        keep = np.ones(n, dtype=bool)
-        removed = 0
-        pos = 0
         sorted_parents = parents[order]
-        while pos < n:
-            pid = sorted_parents[pos]
-            end = pos
-            while end < n and sorted_parents[end] == pid:
-                end += 1
-            if pid >= 0 and end - pos == 4:
-                members = order[pos:end]
-                levs = self.lev[members]
-                if np.all(levs == levs[0]) and levs[0] > 0 and bool(np.all(quiet[members])):
-                    keep_idx = int(members[np.argmin(self.slot[members])])
-                    self.x[keep_idx] = float(self.x[members].mean())
-                    self.y[keep_idx] = float(self.y[members].mean())
-                    self.h[keep_idx] = float(self.h[members].mean())
-                    self.hu[keep_idx] = float(self.hu[members].mean())
-                    self.hv[keep_idx] = float(self.hv[members].mean())
-                    self.lev[keep_idx] = levs[0] - 1
-                    self.parent[keep_idx] = -1
-                    self.slot[keep_idx] = 0
-                    drop = members[members != keep_idx]
-                    keep[drop] = False
-                    removed += drop.size
-            pos = end
-        if removed:
-            self._compact(keep, n)
-        return removed
+        starts = np.flatnonzero(
+            np.concatenate(([True], sorted_parents[1:] != sorted_parents[:-1]))
+        )
+        sizes = np.diff(np.append(starts, n))
+        starts = starts[(sorted_parents[starts] >= 0) & (sizes == 4)]
+        members = order[starts[:, None] + np.arange(4)]
+        levs = self.lev[members]
+        merge = (
+            np.all(levs == levs[:, :1], axis=1)
+            & (levs[:, 0] > 0)
+            & np.all(quiet[members], axis=1)
+        )
+        if not merge.any():
+            return 0
+        members, levs = members[merge], levs[merge]
+        rows = np.arange(members.shape[0])
+        keep_idx = members[rows, np.argmin(self.slot[members], axis=1)]
+        # A row-wise mean over a contiguous quartet sums in the same order
+        # as a 1-D mean of those four values, so the merged state is
+        # bit-identical to averaging one quartet at a time.
+        for arr in (self.x, self.y, self.h, self.hu, self.hv):
+            arr[keep_idx] = arr[members].mean(axis=1)
+        self.lev[keep_idx] = levs[:, 0] - 1
+        self.parent[keep_idx] = -1
+        self.slot[keep_idx] = 0
+        keep = np.ones(n, dtype=bool)
+        keep[members] = False
+        keep[keep_idx] = True
+        self._compact(keep, n)
+        return 3 * members.shape[0]
 
     def _compact(self, keep: np.ndarray, n: int) -> None:
         """Densify live arrays after coarsening removed cells."""
