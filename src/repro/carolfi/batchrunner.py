@@ -3,11 +3,12 @@
 The prefix cache (PR 4) removed pre-injection replay; what remains is
 the post-injection *suffix*, executed one run at a time through Python
 orchestration.  This module batches those suffixes: the run list is
-sorted by interrupt step and chunked into groups of ``batch_size``; a
-group walks the golden trajectory once from the earliest member's
-prefix anchor, members join at their own interrupt steps, and the
-group's corrupted states are stepped together through the benchmark's
-vectorized batch protocol
+sorted by interrupt step and chunked into groups of ``batch_size``
+members (by default worked out from the size of the benchmark's
+state, see :class:`BatchRunner`); a group walks the golden trajectory
+once from the earliest member's prefix anchor, members join at their
+own interrupt steps, and the group's corrupted states are stepped
+together through the benchmark's vectorized batch protocol
 (:meth:`~repro.benchmarks.base.Benchmark.step_batch`), turning N Python
 step loops into one loop over batched NumPy kernels.
 
@@ -33,10 +34,9 @@ is a bit-exact clone, the benchmarks' ``step_batch`` contract requires
 bit-identical outputs, and classification goes through the same
 ``Supervisor.classify_output``/``make_record`` helpers.
 
-Batch-path telemetry (all new families; like the other fast-path
-counters they describe *work saved in this process* and may differ
-across execution topologies — fallback decisions can depend on cache
-state and wall-clock deadlines):
+Batch-path telemetry (counted where the groups run; a sandbox worker
+returns its counts with its records, so they reach the campaign
+registry from every isolation mode):
 
 * ``repro_batch_groups_total{benchmark}`` — carrier walks executed;
 * ``repro_batch_runs_total{benchmark, path}`` — runs completed on the
@@ -56,18 +56,28 @@ from typing import Any
 
 import numpy as np
 
-from repro.benchmarks.base import BenchmarkHang, arm_deadline
+from repro.benchmarks.base import BenchmarkHang, arm_deadline, state_nbytes
 from repro.carolfi.supervisor import Supervisor
 from repro.faults.models import FaultModel
 from repro.faults.outcome import InjectionRecord
 from repro.faults.site import FaultSite
 from repro.telemetry import current_registry, current_tracer
 
-__all__ = ["BatchRunner", "OCCUPANCY_BUCKETS"]
+__all__ = ["BatchRunner", "GROUP_BYTES", "MAX_GROUP", "OCCUPANCY_BUCKETS"]
 
 #: Histogram buckets for members-per-group occupancy (powers of two up
 #: to the largest batch size the tests exercise).
 OCCUPANCY_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
+
+#: Widest automatic group.  Campaign CPU is flat from 8 to 32 members
+#: while the stacked member states (and so RSS) grow with the width.
+MAX_GROUP = 16
+
+#: Byte budget for one automatic group's member states.  Every
+#: default-scale state (19-147 KB) fits ``MAX_GROUP`` times over; a
+#: state too large to fit twice (paper-scale DGEMM, ~250 MB) gets width
+#: 1, i.e. the scalar path, and is never stacked.
+GROUP_BYTES = 4 << 20
 
 
 class _Member:
@@ -100,9 +110,18 @@ class BatchRunner:
     ordinary scalar ``Supervisor.run_one`` — which is what makes every
     failure mode (divergence, exception, deadline, unsupported
     benchmark) correct by construction rather than by case analysis.
+
+    ``batch_size=None`` resolves the width once, from the size of the
+    supervisor's pristine state: as many members as fit in
+    ``GROUP_BYTES``, at least 1 and at most ``MAX_GROUP``.  At width 1
+    ``run_many`` returns ``{}`` without touching a run, so every caller
+    just finishes everything scalar.
     """
 
-    def __init__(self, supervisor: Supervisor, batch_size: int):
+    def __init__(self, supervisor: Supervisor, batch_size: int | None = None):
+        if batch_size is None:
+            nbytes = max(1, state_nbytes(supervisor._pristine))
+            batch_size = min(MAX_GROUP, max(1, GROUP_BYTES // nbytes))
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.supervisor = supervisor
@@ -146,7 +165,7 @@ class BatchRunner:
         """
         sup = self.supervisor
         records: dict[int, InjectionRecord] = {}
-        if not runs:
+        if not runs or self.batch_size == 1:
             return records
         if not sup.benchmark.supports_batching:
             self._mark_fallback(len(runs), "unsupported")
@@ -295,6 +314,7 @@ class BatchRunner:
                         if bench.batch_coherent(member.state, view, index):
                             active.append(member)
                         else:
+                            member.state = None
                             self._mark_fallback(1, "incoherent")
                     if not active and joined == len(members):
                         break  # everyone finished or fell back: no walk left
@@ -319,6 +339,8 @@ class BatchRunner:
                             # impossible; whatever it was, the scalar
                             # fallback classifies it authoritatively.
                             self._mark_fallback(len(active), "exception")
+                            for member in active:
+                                member.state = None
                             active = []
                             carry, carry_states = None, []
                     if index + 1 < total:
@@ -351,6 +373,7 @@ class BatchRunner:
                     carry, carry_states = None, []
                 for member in active:
                     observed = sup._quantize(bench.output(member.state))
+                    member.state = None
                     outcome, sdc_metrics = sup.classify_output(observed)
                     records[member.run_index] = sup.make_record(
                         member.run_index,
@@ -377,3 +400,7 @@ class BatchRunner:
                 self._mark_fallback(remaining, "exception")
             finally:
                 arm_deadline(None)
+                # Member states are O(group), never O(campaign): nothing
+                # outlives the group that cloned it, on any exit path.
+                for member in members:
+                    member.state = None

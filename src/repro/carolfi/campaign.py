@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.benchmarks.registry import create
+from repro.carolfi.batchrunner import BatchRunner
 from repro.carolfi.flipscript import SitePolicy
 from repro.carolfi.supervisor import Supervisor
 from repro.faults.models import FaultModel
@@ -41,19 +42,24 @@ class CampaignConfig:
     checkpoint fingerprint — a campaign checkpointed with snapshots on
     may resume with them off, and vice versa."""
 
-    batch_size: int = 1
-    """Vectorized batch width for the batched-injection fast path (see
-    :mod:`repro.carolfi.batchrunner`).  ``1`` disables batching; larger
-    values group runs sharing a prefix-snapshot anchor and step their
-    corrupted states together through the benchmarks' batched kernels.
-    Like ``snapshots``, a pure execution strategy: per-run RNG streams
+    batch_size: int | None = None
+    """Group width of the batched-injection path (see
+    :mod:`repro.carolfi.batchrunner`), which every campaign takes: runs
+    are sorted by interrupt step, restored from prefix snapshots, and a
+    group's corrupted states are stepped together through the
+    benchmark's batched kernels.  ``None`` (the default) works the width
+    out from the benchmark's state size
+    (:class:`~repro.carolfi.batchrunner.BatchRunner`); nobody needs to
+    set it.  ``1`` is the *reference* setting: every run goes through the
+    scalar ``Supervisor.run_one``, as the ``cmp`` oracles and the bench
+    baseline require.  A pure execution strategy: per-run RNG streams
     are keyed by run index and divergent runs fall back to the scalar
-    path, so records are byte-identical at any batch size — the knob is
-    excluded from the checkpoint fingerprint and checkpoints stay
-    resumable across batch-size changes.  Both isolation modes batch:
-    in-process through the engine's shard loop, subprocess by shipping
-    run groups into the sandboxed worker (fallback members return to
-    the parent's scalar sandbox path)."""
+    path, so records are byte-identical at any width — the field is
+    excluded from the checkpoint fingerprint and checkpoints resume
+    across widths.  Both isolation modes batch: in-process through the
+    engine's shard loop, subprocess by shipping run groups into the
+    sandboxed worker (fallback members return to the parent's scalar
+    sandbox path)."""
 
     shared_store: bool = True
     """Map golden prefix snapshots and the pristine input from a
@@ -85,7 +91,7 @@ class CampaignConfig:
             raise ValueError("at least one fault model is required")
         if self.target_ci is not None and not 0 < self.target_ci < 1:
             raise ValueError("target_ci must be in (0, 1)")
-        if self.batch_size < 1:
+        if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
 
     def to_wire(self) -> dict[str, Any]:
@@ -296,11 +302,7 @@ def run_campaign(
         (run_index, model_for(config, run_index))
         for run_index in range(config.injections)
     ]
-    batched: dict[int, InjectionRecord] = {}
-    if config.batch_size > 1:
-        from repro.carolfi.batchrunner import BatchRunner
-
-        batched = BatchRunner(supervisor, config.batch_size).run_many(runs)
+    batched = BatchRunner(supervisor, config.batch_size).run_many(runs)
     try:
         for run_index, model in runs:
             record = batched.get(run_index)

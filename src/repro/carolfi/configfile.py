@@ -110,7 +110,7 @@ def _config_from_parser(
         watchdog_factor=section.getfloat("watchdog_factor", 10.0),
         benchmark_params=params,
         snapshots=section.getboolean("snapshots", True),
-        batch_size=section.getint("batch_size", 1),
+        batch_size=section.getint("batch_size", fallback=None),
         target_ci=section.getfloat("target_ci", fallback=None),
     )
     log_value = section.get("log", "").strip()

@@ -403,10 +403,10 @@ def _execute_shard(
     has control — to stream the record, answer control frames, or stop
     early (a steal or cancel) by asking for no more.
 
-    The lease's ``isolation`` selects where each injection runs.  With
-    ``config.batch_size > 1`` the vectorized groups are computed up
-    front, on the first ``next()``; fallback members run scalar in
-    order.  ``lease.skip`` maps quarantined run indices to their
+    The lease's ``isolation`` selects where each injection runs.  The
+    vectorized groups are computed up front, on the first ``next()``
+    (none at width 1); fallback members run scalar in order.
+    ``lease.skip`` maps quarantined run indices to their
     ``(due_kind, detail)``: those runs become synthetic DUEs without
     being executed.  A run that fails without a record raises
     :class:`ShardRunError`; :class:`SandboxError` is an infrastructure
@@ -439,7 +439,6 @@ def _execute_shard(
         if run_index not in skip
     ]
     run_fn: Callable[[int, Any], InjectionRecord]
-    batched: dict[int, InjectionRecord] = {}
     if iso.mode is IsolationMode.SUBPROCESS:
         if config.shared_store:
             # Publish (or attach) the host-wide shared segment from
@@ -457,17 +456,15 @@ def _execute_shard(
         sandbox.on_event = on_event
         run_fn = sandbox.run_one
         total_steps, num_windows = sandbox.total_steps, sandbox.num_windows
-        if config.batch_size > 1:
-            # The whole group runs through BatchRunner in one forked
-            # worker and only vectorized-path records come back.
-            batched = sandbox.run_batch(todo, config.batch_size)
+        # The lease's groups run through BatchRunner in one forked
+        # worker and only vectorized-path records come back.
+        batched = sandbox.run_batch(todo, config.batch_size)
     else:
         supervisor = supervisor_for(config, golden_cache=golden_cache, on_event=on_event)
         run_fn = supervisor.run_one
         total_steps = supervisor.total_steps
         num_windows = supervisor.benchmark.num_windows
-        if config.batch_size > 1:
-            batched = BatchRunner(supervisor, config.batch_size).run_many(todo)
+        batched = BatchRunner(supervisor, config.batch_size).run_many(todo)
     for run_index in range(lease.start, lease.stop):
         model = model_for(config, run_index)
         if run_index in skip:

@@ -51,7 +51,13 @@ from repro.carolfi.supervisor import Supervisor
 from repro.faults.models import FaultModel
 from repro.faults.outcome import DueKind, InjectionRecord, Outcome
 from repro.faults.site import FaultSite
-from repro.telemetry import current_registry, deactivate
+from repro.telemetry import (
+    NOOP_TRACER,
+    MetricsRegistry,
+    activate,
+    current_registry,
+    deactivate,
+)
 from repro.util.rng import derive_rng
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle: campaign imports us
@@ -403,14 +409,25 @@ def _serve(supervisor: Supervisor, conn: "Connection") -> None:
             # records come back; structural fallbacks stay absent and
             # the parent finishes them through the scalar sandbox path,
             # keeping per-run death attribution (and therefore records)
-            # identical to unbatched subprocess mode.
+            # identical to unbatched subprocess mode.  ``batch_size``
+            # arrives unresolved (``None`` = automatic width).
             _, run_specs, batch_size = msg
             todo = [(int(idx), FaultModel(value)) for idx, value in run_specs]
-            batched = BatchRunner(supervisor, int(batch_size)).run_many(todo)
+            # Telemetry is off in this process, so the batch counters
+            # fill a private registry and travel back with the records;
+            # the parent folds them into its own.
+            registry = MetricsRegistry()
+            with activate(registry, NOOP_TRACER):
+                batched = BatchRunner(supervisor, batch_size).run_many(todo)
             conn.send(
                 (
                     "batch_records",
                     {idx: record.to_dict() for idx, record in batched.items()},
+                    {
+                        name: wire
+                        for name, wire in registry.snapshot().items()
+                        if name.startswith("repro_batch_")
+                    },
                 )
             )
             continue
@@ -640,7 +657,7 @@ class InjectionSandbox:
     # -- one supervised batch group --------------------------------------------
 
     def run_batch(
-        self, runs: "Sequence[tuple[int, FaultModel]]", batch_size: int
+        self, runs: "Sequence[tuple[int, FaultModel]]", batch_size: int | None
     ) -> dict[int, InjectionRecord]:
         """Drive a group of runs through the worker's vectorized path.
 
@@ -652,7 +669,9 @@ class InjectionSandbox:
         records.  A worker death, RSS overrun
         or deadline *during* the batch aborts the whole group (returns
         ``{}``): nothing is ever classified from a batch-wide failure,
-        every member simply retries scalar.
+        every member simply retries scalar.  The worker's
+        ``repro_batch_*`` metrics come back with the records and are
+        merged into the ambient registry.
         """
         if not runs:
             return {}
@@ -660,20 +679,22 @@ class InjectionSandbox:
         assert self._conn is not None and self._proc is not None
         payload = [(int(idx), FaultModel(model).value) for idx, model in runs]
         try:
-            self._conn.send(("run_batch", payload, int(batch_size)))
+            self._conn.send(("run_batch", payload, batch_size))
         except (OSError, ValueError):
             self._emit("sandbox_death", run_index=None, detail="died while idle")
             self._teardown()
             return {}
-        rows = self._await_batch(len(runs))
-        if rows is None:
+        reply = self._await_batch(len(runs))
+        if reply is None:
             return {}
+        rows, metrics = reply
+        current_registry().merge(metrics)
         return {
             int(idx): InjectionRecord.from_dict(row) for idx, row in rows.items()
         }
 
-    def _await_batch(self, count: int) -> dict[Any, Any] | None:
-        """Wait for batch records, or ``None`` if the group aborted."""
+    def _await_batch(self, count: int) -> tuple[dict[Any, Any], dict[str, Any]] | None:
+        """Wait for ``(records, metrics)``, or ``None`` if the group aborted."""
         assert self._conn is not None and self._proc is not None
         # The group does the work of up to ``count`` scalar runs, so it
         # gets the sum of their individual budgets (mirroring the batch
@@ -687,7 +708,7 @@ class InjectionSandbox:
                 if self._conn.poll(self.isolation.poll_interval_s):
                     msg = self._conn.recv()
                     if msg[0] == "batch_records":
-                        return msg[1]
+                        return msg[1], msg[2]
                     continue  # pragma: no cover — unexpected chatter
             except (EOFError, OSError):
                 pass  # fall through to the death check

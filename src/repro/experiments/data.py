@@ -47,10 +47,9 @@ class ExperimentData:
     :class:`~repro.telemetry.Telemetry` bundle) is shared by every
     injection campaign, so one exported registry covers the session.
     ``snapshots`` toggles the execution-prefix fast path (on by
-    default; records are identical either way), ``batch_size`` sets the
-    vectorized batched-injection width (1 disables; records are
-    byte-identical at any width) and ``golden_cache`` names an on-disk
-    golden-run cache directory shared by all campaigns.  ``target_ci`` forwards the statistical early-stopping
+    default; records are identical either way) and ``golden_cache``
+    names an on-disk golden-run cache directory shared by all
+    campaigns.  ``target_ci`` forwards the statistical early-stopping
     target (CI half-width) to every injection campaign; stopped
     campaigns keep a byte-identical prefix of the uncapped record
     stream, so downstream figures stay deterministic.
@@ -62,7 +61,6 @@ class ExperimentData:
     checkpoint_root: str | Path | None = None
     isolation: IsolationConfig | None = None
     snapshots: bool = True
-    batch_size: int = 1
     golden_cache: str | Path | None = None
     target_ci: float | None = None
     telemetry: Telemetry | None = field(default=None, repr=False)
@@ -101,7 +99,6 @@ class ExperimentData:
                 injections=self.injections,
                 seed=self.seed,
                 snapshots=self.snapshots,
-                batch_size=self.batch_size,
                 target_ci=self.target_ci,
             )
             checkpoint_dir = None

@@ -97,7 +97,6 @@ def run_experiments(
     progress: Callable[[ShardProgress], None] | None = None,
     telemetry: Telemetry | None = None,
     snapshots: bool = True,
-    batch_size: int = 1,
     golden_cache: str | None = None,
     target_ci: float | None = None,
 ) -> data_mod.ExperimentData:
@@ -115,7 +114,6 @@ def run_experiments(
         telemetry=telemetry,
         progress=progress,
         snapshots=snapshots,
-        batch_size=batch_size,
         golden_cache=golden_cache,
         target_ci=target_ci,
     )
@@ -193,16 +191,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         action="store_true",
         help="disable the execution-prefix snapshot fast path (every run "
         "replays from step 0; records are bit-identical either way)",
-    )
-    parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=1,
-        metavar="N",
-        help="vectorized batched-injection width: group runs sharing a "
-        "prefix-snapshot anchor and step their corrupted states together "
-        "through the benchmarks' batched kernels (1 = disabled; records "
-        "are byte-identical at any width; in-process isolation only)",
     )
     parser.add_argument(
         "--golden-cache",
@@ -293,7 +281,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             progress=_print_progress if args.progress else None,
             telemetry=telemetry,
             snapshots=not args.no_snapshots,
-            batch_size=args.batch_size,
             golden_cache=args.golden_cache,
             target_ci=args.target_ci,
         )

@@ -121,7 +121,8 @@ class Counter(Metric):
     def merge_wire(self, values: Sequence[Sequence[Any]]) -> None:
         for pairs, amount in values:
             key = _key_from_wire(pairs)
-            self._values[key] = self._values.get(key, 0.0) + float(amount)
+            for store in (self._values, self._delta):
+                store[key] = store.get(key, 0.0) + float(amount)
 
 
 class Gauge(Metric):
@@ -139,7 +140,8 @@ class Gauge(Metric):
 
     def merge_wire(self, values: Sequence[Sequence[Any]]) -> None:
         for pairs, value in values:
-            self._values[_key_from_wire(pairs)] = float(value)
+            key = _key_from_wire(pairs)
+            self._values[key] = self._delta[key] = float(value)
 
 
 class Histogram(Metric):
@@ -240,13 +242,15 @@ class Histogram(Metric):
 
     def merge_wire(self, values: Sequence[Sequence[Any]]) -> None:
         for pairs, incoming in values:
-            slot = self._slot(_key_from_wire(pairs), self._values)
-            if len(incoming["buckets"]) != len(slot["buckets"]):
+            key = _key_from_wire(pairs)
+            if len(incoming["buckets"]) != len(self.buckets) + 1:
                 raise ValueError(f"histogram {self.name}: bucket layout mismatch")
-            for i, n in enumerate(incoming["buckets"]):
-                slot["buckets"][i] += int(n)
-            slot["sum"] += float(incoming["sum"])
-            slot["count"] += int(incoming["count"])
+            for store in (self._values, self._delta):
+                slot = self._slot(key, store)
+                for i, n in enumerate(incoming["buckets"]):
+                    slot["buckets"][i] += int(n)
+                slot["sum"] += float(incoming["sum"])
+                slot["count"] += int(incoming["count"])
 
 
 class MetricsRegistry:
@@ -311,7 +315,12 @@ class MetricsRegistry:
         return out
 
     def merge(self, payload: Mapping[str, Any]) -> None:
-        """Fold a :meth:`snapshot` or :meth:`drain_delta` dict into this registry."""
+        """Fold a :meth:`snapshot` or :meth:`drain_delta` dict into this registry.
+
+        Merged values count as changes to this registry, so the next
+        :meth:`drain_delta` forwards them: registries chain (a sandbox's
+        batch counters reach the campaign through its lease worker).
+        """
         factories = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
         for name, wire in payload.items():
             kind = wire.get("kind")

@@ -11,19 +11,21 @@ diverges; then at the campaign level byte-for-byte.
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 
 import pytest
 
+from repro.benchmarks.base import state_nbytes
 from repro.benchmarks.registry import INJECTION_BENCHMARKS, create
-from repro.carolfi.batchrunner import BatchRunner
+from repro.carolfi.batchrunner import GROUP_BYTES, MAX_GROUP, BatchRunner
 from repro.carolfi.campaign import CampaignConfig, run_campaign
 from repro.carolfi.configfile import load_config
 from repro.carolfi.engine import campaign_fingerprint
 from repro.carolfi.supervisor import Supervisor
 from repro.faults.models import FaultModel
 from repro.faults.outcome import Outcome
-from repro.telemetry import Telemetry, TelemetryConfig
+from repro.telemetry import NOOP_TRACER, MetricsRegistry, Telemetry, TelemetryConfig, activate
 
 from tests.conftest import SMALL_CLAMR
 
@@ -147,7 +149,7 @@ def test_campaign_jsonl_byte_identical_batched_vs_scalar(tmp_path):
         seed=31,
         benchmark_params={"n": 16, "rows_per_step": 4},
     )
-    run_campaign(config, log_path=tmp_path / "scalar.jsonl")
+    run_campaign(replace(config, batch_size=1), log_path=tmp_path / "scalar.jsonl")
     run_campaign(replace(config, batch_size=8), log_path=tmp_path / "batched.jsonl")
     run_campaign(
         replace(config, batch_size=8),
@@ -158,6 +160,31 @@ def test_campaign_jsonl_byte_identical_batched_vs_scalar(tmp_path):
     scalar = (tmp_path / "scalar.jsonl").read_bytes()
     assert scalar == (tmp_path / "batched.jsonl").read_bytes()
     assert scalar == (tmp_path / "sharded.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(INJECTION_BENCHMARKS))
+def test_default_campaign_batches_and_matches_reference(name, tmp_path):
+    """A campaign at the default (automatic) width writes the same bytes
+    as its ``batch_size=1`` reference twin, and the batchable benchmarks
+    really take the vectorized path to get there."""
+    config = CampaignConfig(
+        benchmark=name, injections=RUNS, seed=5, benchmark_params=SMALL_PARAMS[name]
+    )
+    assert config.batch_size is None
+    run_campaign(replace(config, batch_size=1), log_path=tmp_path / "reference.jsonl")
+    registry = MetricsRegistry()
+    with activate(registry, NOOP_TRACER):
+        run_campaign(config, log_path=tmp_path / "default.jsonl")
+    assert (tmp_path / "default.jsonl").read_bytes() == (
+        tmp_path / "reference.jsonl"
+    ).read_bytes()
+    paths = registry.counter_values().get("repro_batch_runs_total", {})
+    vectorized = paths.get(f"benchmark={name},path=vectorized", 0.0)
+    if create(name).supports_batching:
+        assert vectorized > 0
+    else:
+        assert vectorized == 0
+        assert paths[f"benchmark={name},path=fallback"] == RUNS
 
 
 def test_fingerprint_ignores_batch_size():
@@ -179,7 +206,7 @@ def test_configfile_parses_batch_size(tmp_path):
     assert config.batch_size == 8
     ini.write_text("[carol-fi]\nbenchmark = nw\ninjections = 10\n")
     config, _ = load_config(ini)
-    assert config.batch_size == 1
+    assert config.batch_size is None  # absent key: automatic width
 
 
 def test_invalid_batch_size_rejected():
@@ -187,3 +214,45 @@ def test_invalid_batch_size_rejected():
         CampaignConfig(benchmark="nw", injections=10, batch_size=0)
     with pytest.raises(ValueError):
         BatchRunner(Supervisor(small("nw"), seed=1), 0)
+
+
+# -- automatic width and memory -----------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(INJECTION_BENCHMARKS))
+def test_default_states_get_the_full_width(name):
+    sup = Supervisor(create(name), seed=1)
+    assert state_nbytes(sup._pristine) * MAX_GROUP <= GROUP_BYTES
+    assert BatchRunner(sup).batch_size == MAX_GROUP
+
+
+def test_state_larger_than_group_budget_resolves_to_width_one():
+    """A state over ``GROUP_BYTES`` (a paper-scale DGEMM is ~250 MB) is
+    never stacked: width 1, every run left to the scalar path."""
+    sup = Supervisor(create("dgemm", n=360), seed=1, snapshots=False)
+    assert state_nbytes(sup._pristine) > GROUP_BYTES
+    runner = BatchRunner(sup)
+    assert runner.batch_size == 1
+    tel = Telemetry(TelemetryConfig())
+    with tel.activate():
+        assert runner.run_many(runs_for(sup, 4)) == {}
+    assert "repro_batch_groups_total" not in tel.registry.counter_values()
+
+
+def test_member_states_are_released_per_group():
+    """run_many's traced peak is O(group width), not O(runs): each
+    member's cloned state is dropped once its group is done with it."""
+    sup = Supervisor(create("dgemm"), seed=1)
+    nbytes = state_nbytes(sup._pristine)
+    runs = runs_for(sup, 64)
+    width = 2
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        records = BatchRunner(sup, width).run_many(runs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert records, "dgemm should complete runs on the vectorized path"
+    # Holding every finished member's state would be ~64 states.
+    assert peak < 4 * width * nbytes, (peak, nbytes)

@@ -102,6 +102,22 @@ def test_merge_matches_serial_totals_across_workers():
     assert engine.histogram("dur").sum() == pytest.approx(serial.histogram("dur").sum())
 
 
+def test_merged_values_drain_onward_exactly_once():
+    """A registry that merges a child's metrics forwards them on its own
+    next drain (sandbox -> lease worker -> campaign), once."""
+    sandbox, worker, campaign = MetricsRegistry(), MetricsRegistry(), MetricsRegistry()
+    sandbox.counter("groups").inc(2.0, benchmark="nw")
+    sandbox.histogram("occupancy", buckets=(1.0, 8.0)).observe(4.0)
+    sandbox.gauge("width").set(16.0)
+    worker.counter("groups").inc(benchmark="nw")
+    worker.merge(sandbox.snapshot())
+    campaign.merge(worker.drain_delta())
+    assert worker.drain_delta() == {}
+    assert campaign.counter("groups").value(benchmark="nw") == 3.0
+    assert campaign.histogram("occupancy", buckets=(1.0, 8.0)).count() == 1
+    assert campaign.gauge("width").value() == 16.0
+
+
 def test_merge_gauge_keeps_latest_value():
     engine = MetricsRegistry()
     w = MetricsRegistry()
